@@ -139,8 +139,8 @@ type RemoteClient = wire.Client
 // and can be placed behind a load balancer.
 func Dial(addr string) (*RemoteClient, error) { return wire.Dial(addr, 0) }
 
-// DialConfig tunes DialWith: pool size, per-op timeout (the conn
-// deadline bounding every RPC), and dial timeout.
+// DialConfig tunes DialWith: pool size, per-op timeout (the deadline
+// bounding every RPC), dial timeout, and per-frame CRC.
 type DialConfig = wire.DialConfig
 
 // DialWith is Dial with explicit pool and timeout configuration.

@@ -85,7 +85,6 @@ func main() {
 		chaosSpikeRate   = flag.Float64("chaos-spike-rate", 0, "chaos: latency-spike probability per storage op; 0 = default")
 		chaosKills       = flag.Int("chaos-kills", 0, "chaos: node kills scheduled per campaign; 0 = default")
 		chaosRequests    = flag.Int("chaos-requests", 0, "chaos: requests per campaign; 0 = default")
-		wireCodec        = flag.String("wire-codec", "", "wire: restrict the codec sweep to binary|gob; empty compares both")
 	)
 	// Allow "aft-bench chaos -seed 7"-style invocation: a leading bare
 	// word selects the experiment.
@@ -127,7 +126,6 @@ func main() {
 		ChaosErrorRate: *chaosErrRate, ChaosPartialRate: *chaosPartialRate,
 		ChaosSpikeRate: *chaosSpikeRate, ChaosKills: *chaosKills,
 		ChaosRequests: *chaosRequests,
-		WireCodec:     *wireCodec,
 	}
 
 	type exp struct {

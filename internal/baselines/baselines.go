@@ -19,6 +19,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync/atomic"
 	"time"
 
@@ -261,12 +262,24 @@ func (d *DynamoTxn) transactPut(ctx context.Context, items map[string][]byte) er
 // backoff waits before a conflict retry: exponential from 2ms, capped at
 // 50ms (modeled time), jitter-free for reproducibility. Without backoff,
 // contending clients livelock on DynamoDB's fail-fast conflict aborts.
+//
+// The modeled sleep vanishes under a nil Sleeper or a zero scale, so a
+// real-time floor (20µs doubling to 320µs) backs it: it yields the CPU
+// and waits long enough for a descheduled lock holder to finish its
+// transaction, instead of burning the whole retry budget in
+// microseconds.
 func (d *DynamoTxn) backoff(attempt int) {
 	wait := time.Duration(2<<uint(min(attempt, 4))) * time.Millisecond
 	if wait > 50*time.Millisecond {
 		wait = 50 * time.Millisecond
 	}
+	start := time.Now()
 	d.cfg.Sleeper.Sleep(wait)
+	floor := time.Duration(20<<uint(min(attempt, 4))) * time.Microsecond
+	if rem := floor - time.Since(start); rem > 0 {
+		runtime.Gosched()
+		time.Sleep(rem)
+	}
 }
 
 // AFTConfig configures an AFT executor.

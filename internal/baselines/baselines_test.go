@@ -2,6 +2,8 @@ package baselines
 
 import (
 	"context"
+	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -166,6 +168,38 @@ func TestDynamoTxnNoRYWAnomalies(t *testing.T) {
 	}
 	if res.DirtyReads != 0 {
 		t.Fatalf("dirty reads = %d", res.DirtyReads)
+	}
+}
+
+// TestDynamoTxnContendedFewProcs runs contended transaction-mode writers
+// with no modeled latency at GOMAXPROCS 1 and 2. Conflict backoff must
+// wait in real time, not only in modeled time: a retry loop that never
+// yields burns its whole budget while the lock holder is descheduled.
+func TestDynamoTxnContendedFewProcs(t *testing.T) {
+	for _, procs := range []int{1, 2} {
+		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			store := dynamosim.New(dynamosim.Options{})
+			d, err := NewDynamoTxn(DynamoTxnConfig{Store: store, Payload: []byte("x"), Registry: workload.NewRegistry()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var wg sync.WaitGroup
+			for w := 0; w < 8; w++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					req := paperRequest()
+					for i := 0; i < 100; i++ {
+						if _, err := d.Execute(context.Background(), req); err != nil {
+							t.Error(err)
+							return
+						}
+					}
+				}()
+			}
+			wg.Wait()
+		})
 	}
 }
 

@@ -1,13 +1,12 @@
 package experiments
 
-// The wire experiment quantifies the protocol-v3 codec change: the
-// length-prefixed binary framing with pipelined connections against the
-// legacy lockstep gob codec, over real TCP loopback. Each cell fixes a
-// codec, a concurrency level (closed-loop workers ≈ the connection
-// count a lockstep codec would need), and a workload — "ping" is the
-// pure wire-path round trip (no storage, no transaction state), "txn"
-// the full Start/Put/Commit cycle — and reports throughput, allocation
-// rate, and client-observed latency percentiles. The committed
+// The wire experiment measures the framed, pipelined wire protocol over
+// real TCP loopback. Each cell fixes a concurrency level (closed-loop
+// workers multiplexed onto a pool of at most 8 pipelined conns) and a
+// workload — "ping" is the pure wire-path round trip (no storage, no
+// transaction state), "txn" the full Start/Put/Commit cycle — and
+// reports throughput, allocation rate, client-observed latency
+// percentiles, and how deep the pipeline ran. The committed
 // BENCH_wire.json is the artifact behind the README's reading guide.
 
 import (
@@ -22,10 +21,9 @@ import (
 	"aft/internal/wire"
 )
 
-// WireCell is one codec × concurrency × workload measurement.
+// WireCell is one concurrency × workload measurement.
 type WireCell struct {
-	Codec    string `json:"codec"`    // "gob" | "binary"
-	Conns    int    `json:"conns"`    // closed-loop workers (= pool cap)
+	Conns    int    `json:"conns"`    // closed-loop workers
 	Workload string `json:"workload"` // "ping" | "txn"
 	Ops      int    `json:"ops"`      // completed operations
 
@@ -35,17 +33,17 @@ type WireCell struct {
 	P50Micros   float64 `json:"p50_us"`
 	P99Micros   float64 `json:"p99_us"`
 
-	// Binary-codec internals (zero on gob cells): how deep the pipeline
-	// actually ran, how many TCP conns carried the load, and how many
-	// frames each flush syscall batched.
-	PipelineDepthHW int64   `json:"pipeline_depth_hw,omitempty"`
-	WireConns       int64   `json:"wire_conns,omitempty"`
-	FramesPerFlush  float64 `json:"frames_per_flush,omitempty"`
+	// Pipeline internals: how deep the pipeline actually ran, how many
+	// TCP conns carried the load, and how many frames each flush
+	// syscall batched.
+	PipelineDepthHW int64   `json:"pipeline_depth_hw"`
+	WireConns       int64   `json:"wire_conns"`
+	FramesPerFlush  float64 `json:"frames_per_flush"`
 
 	WallMS int64 `json:"wall_ms"`
 }
 
-// Wire runs the codec comparison and renders its table.
+// Wire runs the concurrency sweep and renders its table.
 func Wire(opts Options) (Table, error) {
 	cells, err := WireCells(opts)
 	if err != nil {
@@ -57,34 +55,31 @@ func Wire(opts Options) (Table, error) {
 // WireTable renders measured cells.
 func WireTable(cells []WireCell) (Table, error) {
 	table := Table{
-		Title:  "Wire codec: lockstep gob vs pipelined binary framing (TCP loopback)",
-		Header: []string{"workload", "codec", "conns", "ops", "ops/s", "allocs/op", "B/op", "p50 us", "p99 us", "depth hw", "frames/flush"},
+		Title:  "Wire protocol: pipelined binary frames (TCP loopback)",
+		Header: []string{"workload", "conns", "ops", "ops/s", "allocs/op", "B/op", "p50 us", "p99 us", "tcp conns", "depth hw", "frames/flush"},
 		Notes: []string{
-			"conns: closed-loop workers; the gob codec needs one lockstep TCP conn per worker, the binary codec multiplexes them onto a pipelined pool",
-			"allocs/op and B/op are process-wide (client and server share the process), so both sides' codecs are charged",
-			"depth hw: high-water mark of ops concurrently in flight on one pipelined conn (gob is lockstep: always 1, reported as -)",
+			"conns: closed-loop workers, multiplexed onto a pool of at most 8 pipelined TCP conns",
+			"allocs/op and B/op are process-wide (client and server share the process), so both sides are charged",
+			"depth hw: high-water mark of ops concurrently in flight on one pipelined conn",
 		},
 	}
 	for _, c := range cells {
-		depth, fpf := "-", "-"
-		if c.Codec == wire.CodecBinary {
-			depth = fmt.Sprint(c.PipelineDepthHW)
-			fpf = fmt.Sprintf("%.1f", c.FramesPerFlush)
-		}
 		table.Rows = append(table.Rows, []string{
-			c.Workload, c.Codec, fmt.Sprint(c.Conns), fmt.Sprint(c.Ops),
+			c.Workload, fmt.Sprint(c.Conns), fmt.Sprint(c.Ops),
 			fmt.Sprintf("%.0f", c.OpsPerSec),
 			fmt.Sprintf("%.1f", c.AllocsPerOp),
 			fmt.Sprintf("%.0f", c.BytesPerOp),
 			fmt.Sprintf("%.0f", c.P50Micros),
 			fmt.Sprintf("%.0f", c.P99Micros),
-			depth, fpf,
+			fmt.Sprint(c.WireConns),
+			fmt.Sprint(c.PipelineDepthHW),
+			fmt.Sprintf("%.1f", c.FramesPerFlush),
 		})
 	}
 	return table, nil
 }
 
-// WireCells sweeps workload × codec × concurrency.
+// WireCells sweeps workload × concurrency.
 func WireCells(opts Options) ([]WireCell, error) {
 	opts = opts.withDefaults()
 	conns := []int{64, 256, 1024}
@@ -93,26 +88,20 @@ func WireCells(opts Options) ([]WireCell, error) {
 		conns = []int{16, 64}
 		opsPerWorker = 25
 	}
-	codecs := []string{wire.CodecGob, wire.CodecBinary}
-	if opts.WireCodec != "" {
-		codecs = []string{opts.WireCodec}
-	}
 	var cells []WireCell
 	for _, workload := range []string{"ping", "txn"} {
-		for _, codec := range codecs {
-			for _, nc := range conns {
-				cell, err := wireCell(codec, workload, nc, opsPerWorker)
-				if err != nil {
-					return nil, fmt.Errorf("wire %s/%s/%d: %w", workload, codec, nc, err)
-				}
-				cells = append(cells, cell)
+		for _, nc := range conns {
+			cell, err := wireCell(workload, nc, opsPerWorker)
+			if err != nil {
+				return nil, fmt.Errorf("wire %s/%d: %w", workload, nc, err)
 			}
+			cells = append(cells, cell)
 		}
 	}
 	return cells, nil
 }
 
-func wireCell(codec, workload string, workers, opsPerWorker int) (WireCell, error) {
+func wireCell(workload string, workers, opsPerWorker int) (WireCell, error) {
 	store := dynamosim.New(dynamosim.Options{})
 	node, err := core.NewNode(core.Config{NodeID: "wire-bench", Store: store})
 	if err != nil {
@@ -125,23 +114,15 @@ func wireCell(codec, workload string, workers, opsPerWorker int) (WireCell, erro
 	}
 	defer srv.Close()
 
-	// The lockstep gob codec has no choice but one conn per closed-loop
-	// worker; the binary codec multiplexes everything onto a small
-	// pipelined pool — the provisioning a real deployment would use.
-	maxConns := workers
-	if codec == wire.CodecBinary && maxConns > 8 {
-		maxConns = 8
-	}
+	// Every worker multiplexes onto a small pipelined pool — the
+	// provisioning a real deployment would use.
 	client, err := wire.DialWith(addr.String(), wire.DialConfig{
-		MaxConns: maxConns, OpTimeout: 30 * time.Second, Codec: codec,
+		MaxConns: min(workers, 8), OpTimeout: 30 * time.Second,
 	})
 	if err != nil {
 		return WireCell{}, err
 	}
 	defer client.Close()
-	if client.Codec() != codec {
-		return WireCell{}, fmt.Errorf("negotiated %q, want %q", client.Codec(), codec)
-	}
 
 	ctx := context.Background()
 	runWorker := func(w int, rec *stats.Recorder) error {
@@ -169,14 +150,13 @@ func wireCell(codec, workload string, workers, opsPerWorker int) (WireCell, erro
 		return nil
 	}
 
-	// Warm the pools, conn dials, and codec negotiation out of the
-	// measured window.
+	// Warm the pools and conn dials out of the measured window.
 	if err := runWorker(-1, stats.NewRecorder()); err != nil {
 		return WireCell{}, err
 	}
 
 	// One shared recorder: Record is mutex-guarded, and the lock cost is
-	// identical across codecs so the comparison stays fair.
+	// identical across cells so the comparison stays fair.
 	rec := stats.NewRecorder()
 	errs := make(chan error, workers)
 	m0 := client.Metrics().Snapshot()
@@ -198,24 +178,23 @@ func wireCell(codec, workload string, workers, opsPerWorker int) (WireCell, erro
 	sum := rec.Summarize()
 
 	ops := workers * opsPerWorker
+	// Diff against the pre-run snapshot so the sequential warmup
+	// (frames == flushes by construction) doesn't dilute the ratio.
+	m := client.Metrics().Snapshot()
 	cell := WireCell{
-		Codec: codec, Conns: workers, Workload: workload, Ops: ops,
+		Conns: workers, Workload: workload, Ops: ops,
 		OpsPerSec:   float64(ops) / wall.Seconds(),
 		AllocsPerOp: float64(ms1.Mallocs-ms0.Mallocs) / float64(ops),
 		BytesPerOp:  float64(ms1.TotalAlloc-ms0.TotalAlloc) / float64(ops),
 		P50Micros:   float64(sum.Median.Microseconds()),
 		P99Micros:   float64(sum.P99.Microseconds()),
 		WallMS:      wall.Milliseconds(),
+
+		PipelineDepthHW: m.PipelineDepthHW,
+		WireConns:       m.Conns,
 	}
-	if codec == wire.CodecBinary {
-		// Diff against the pre-run snapshot so the sequential warmup
-		// (frames == flushes by construction) doesn't dilute the ratio.
-		m := client.Metrics().Snapshot()
-		cell.PipelineDepthHW = m.PipelineDepthHW
-		cell.WireConns = m.BinaryConns
-		if fl := m.Flushes - m0.Flushes; fl > 0 {
-			cell.FramesPerFlush = float64(m.FramesSent-m0.FramesSent) / float64(fl)
-		}
+	if fl := m.Flushes - m0.Flushes; fl > 0 {
+		cell.FramesPerFlush = float64(m.FramesSent-m0.FramesSent) / float64(fl)
 	}
 	return cell, nil
 }

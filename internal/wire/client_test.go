@@ -1,12 +1,13 @@
 package wire
 
 import (
+	"bufio"
 	"context"
-	"encoding/gob"
 	"errors"
+	"fmt"
 	"net"
 	"runtime"
-	"sync"
+	"strings"
 	"testing"
 	"time"
 
@@ -31,64 +32,20 @@ func checkGoroutineLeak(t *testing.T) {
 }
 
 // startHalfOpen returns the address of a server that completes the
-// protocol handshake and then goes silent: it keeps reading requests but
-// never answers again. The nastiest failure mode for a client — the TCP
+// Dial hello and then goes silent: it keeps reading frames but never
+// answers again. The nastiest failure mode for a client — the TCP
 // connection is perfectly healthy, only the application stopped.
 func startHalfOpen(t *testing.T) string {
 	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var conns []net.Conn
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
+	fake := startBinaryFake(t, ProtocolVersion, func(conn net.Conn, br *bufio.Reader, fw *frameWriter) {
+		var buf []byte
 		for {
-			conn, err := ln.Accept()
-			if err != nil {
+			if _, err := readFrame(br, &buf); err != nil {
 				return
 			}
-			mu.Lock()
-			conns = append(conns, conn)
-			mu.Unlock()
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				dec, enc := gob.NewDecoder(conn), gob.NewEncoder(conn)
-				answered := false
-				for {
-					var req Request
-					if err := dec.Decode(&req); err != nil {
-						return
-					}
-					if !answered && req.Op == OpPing {
-						answered = true
-						// Advertise v2: this fake speaks only gob, so it
-						// must not invite a codec upgrade it would swallow.
-						// (Binary-codec half-open behavior is covered by
-						// the pipeline tests.)
-						if err := enc.Encode(&Response{Version: 2, Value: []byte("half-open")}); err != nil {
-							return
-						}
-					}
-					// All later requests are swallowed: half-open.
-				}
-			}()
 		}
-	}()
-	t.Cleanup(func() {
-		ln.Close()
-		mu.Lock()
-		for _, c := range conns {
-			c.Close()
-		}
-		mu.Unlock()
-		wg.Wait()
 	})
-	return ln.Addr().String()
+	return fake.ln.Addr().String()
 }
 
 // TestClientCloseUnblocksInflight: an op parked forever against a
@@ -184,6 +141,27 @@ func TestClientRedialFailureRetriable(t *testing.T) {
 		}
 		if errors.Is(err, ErrClosed) {
 			t.Fatalf("op %d misclassified as terminal ErrClosed: %v", i, err)
+		}
+	}
+}
+
+// TestDialVersionMismatch: a server answering the hello with another
+// protocol version fails Dial with a non-retriable error naming both
+// versions, and leaves no conn or goroutine behind.
+func TestDialVersionMismatch(t *testing.T) {
+	checkGoroutineLeak(t)
+	fake := startBinaryFake(t, ProtocolVersion-1, func(net.Conn, *bufio.Reader, *frameWriter) {})
+	client, err := DialWith(fake.ln.Addr().String(), DialConfig{MaxConns: 1, OpTimeout: time.Second})
+	if err == nil {
+		client.Close()
+		t.Fatal("Dial against a mismatched server succeeded")
+	}
+	if errors.Is(err, storage.ErrUnavailable) || errors.Is(err, ErrDeadlineExceeded) {
+		t.Fatalf("version mismatch classified retriable: %v", err)
+	}
+	for _, v := range []uint8{ProtocolVersion - 1, ProtocolVersion} {
+		if !strings.Contains(err.Error(), fmt.Sprintf("v%d", v)) {
+			t.Fatalf("mismatch error %q does not name v%d", err, v)
 		}
 	}
 }

@@ -3,7 +3,6 @@ package wire
 import (
 	"bufio"
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"net"
@@ -17,28 +16,28 @@ import (
 	"aft/internal/storage/dynamosim"
 )
 
-// binaryFake is a hand-rolled server that performs the gob handshake
-// and codec upgrade, then hands the binary side of the connection to a
+// binaryFake is a hand-rolled server that answers the Dial hello with
+// a chosen protocol version, then hands the connection to a
 // test-provided frame loop. It lets tests script exact server behavior
-// (reply out of order, go silent mid-pipeline) that the real server
-// never exhibits.
+// (reply out of order, go silent mid-pipeline, speak another version)
+// that the real server never exhibits.
 type binaryFake struct {
-	t     *testing.T
-	ln    net.Listener
-	wg    sync.WaitGroup
-	mu    sync.Mutex
-	conns []net.Conn
-	// serve runs the binary phase; fw writes frames, br reads them.
+	ln      net.Listener
+	version uint8
+	wg      sync.WaitGroup
+	mu      sync.Mutex
+	conns   []net.Conn
+	// serve runs after the hello; fw writes frames, br reads them.
 	serve func(conn net.Conn, br *bufio.Reader, fw *frameWriter)
 }
 
-func startBinaryFake(t *testing.T, serve func(net.Conn, *bufio.Reader, *frameWriter)) *binaryFake {
+func startBinaryFake(t *testing.T, version uint8, serve func(net.Conn, *bufio.Reader, *frameWriter)) *binaryFake {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := &binaryFake{t: t, ln: ln, serve: serve}
+	f := &binaryFake{ln: ln, version: version, serve: serve}
 	f.wg.Add(1)
 	go func() {
 		defer f.wg.Done()
@@ -53,7 +52,7 @@ func startBinaryFake(t *testing.T, serve func(net.Conn, *bufio.Reader, *frameWri
 			f.wg.Add(1)
 			go func() {
 				defer f.wg.Done()
-				f.handshake(conn)
+				f.handle(conn)
 			}()
 		}
 	}()
@@ -69,33 +68,26 @@ func startBinaryFake(t *testing.T, serve func(net.Conn, *bufio.Reader, *frameWri
 	return f
 }
 
-func (f *binaryFake) handshake(conn net.Conn) {
+// handle answers the conn's first frame when it is Dial's OpPing hello,
+// then runs the scripted frame loop. Redialed conns send no hello: their
+// first frame is dropped unanswered, so scripts that must see every
+// frame keep MaxConns at 1.
+func (f *binaryFake) handle(conn net.Conn) {
 	br := bufio.NewReader(conn)
-	dec, enc := gob.NewDecoder(br), gob.NewEncoder(conn)
-	for {
-		var req Request
-		if err := dec.Decode(&req); err != nil {
-			return
-		}
-		switch req.Op {
-		case OpPing:
-			if err := enc.Encode(&Response{Version: ProtocolVersion, Value: []byte("fake")}); err != nil {
-				return
-			}
-		case OpUpgradeCodec:
-			if err := enc.Encode(&Response{Version: ProtocolVersion}); err != nil {
-				return
-			}
-			var m Metrics
-			fw := newFrameWriter(conn, &m)
-			f.serve(conn, br, fw)
-			fw.close()
-			return
-		default:
-			f.t.Errorf("fake server got unexpected gob op %d", req.Op)
+	var m Metrics
+	fw := newFrameWriter(conn, &m)
+	defer fw.close()
+	var buf []byte
+	fr, err := readFrame(br, &buf)
+	if err != nil {
+		return
+	}
+	if Op(fr.code) == OpPing {
+		if err := fw.writeResponse(fr.id, &Response{Version: f.version, Value: []byte("fake")}, fr.crc); err != nil {
 			return
 		}
 	}
+	f.serve(conn, br, fw)
 }
 
 // TestPipelineConcurrentOpsOneConn: with the pool capped at ONE
@@ -110,9 +102,6 @@ func TestPipelineConcurrentOpsOneConn(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer client.Close()
-	if client.Codec() != CodecBinary {
-		t.Fatalf("negotiated codec = %q, want binary", client.Codec())
-	}
 
 	ctx := context.Background()
 	const workers = 16
@@ -147,8 +136,8 @@ func TestPipelineConcurrentOpsOneConn(t *testing.T) {
 	if m.PipelineDepthHW < 2 {
 		t.Fatalf("pipeline depth high-water = %d, want >= 2 (ops never overlapped on the conn)", m.PipelineDepthHW)
 	}
-	if m.BinaryConns != 1 {
-		t.Fatalf("binary conns = %d, want 1 (MaxConns caps the pool)", m.BinaryConns)
+	if m.Conns != 1 {
+		t.Fatalf("conns = %d, want 1 (MaxConns caps the pool)", m.Conns)
 	}
 }
 
@@ -159,7 +148,7 @@ func TestPipelineConcurrentOpsOneConn(t *testing.T) {
 func TestPipelineOutOfOrderCompletion(t *testing.T) {
 	checkGoroutineLeak(t)
 	const batch = 6
-	fake := startBinaryFake(t, func(conn net.Conn, br *bufio.Reader, fw *frameWriter) {
+	fake := startBinaryFake(t, ProtocolVersion, func(conn net.Conn, br *bufio.Reader, fw *frameWriter) {
 		var buf []byte
 		var it internTable
 		type pend struct {
@@ -168,15 +157,15 @@ func TestPipelineOutOfOrderCompletion(t *testing.T) {
 		}
 		var pends []pend
 		for {
-			op, id, payload, err := readFrame(br, &buf)
+			f, err := readFrame(br, &buf)
 			if err != nil {
 				return
 			}
 			var req Request
-			if err := decodeRequestFrame(op, payload, &req, &it); err != nil {
+			if err := decodeRequestFrame(f.code, f.payload, &req, &it); err != nil {
 				return
 			}
-			pends = append(pends, pend{id, req.Key})
+			pends = append(pends, pend{f.id, req.Key})
 			if len(pends) == batch {
 				for i := len(pends) - 1; i >= 0; i-- { // reverse order
 					resp := Response{Value: []byte(pends[i].key)}
@@ -214,23 +203,15 @@ func TestPipelineOutOfOrderCompletion(t *testing.T) {
 	wg.Wait()
 }
 
-// TestPipelineTimeoutAbandonsOpSiblingsRetriable: a binary half-open
-// server (reads frames, never answers). The op that hits its deadline
-// reports the retriable ErrDeadlineExceeded; the conn is then retired,
-// so pipelined siblings fail retriably too — and NOTHING reports the
+// TestPipelineTimeoutAbandonsOpSiblingsRetriable: a half-open server
+// (reads frames, never answers). The op that hits its deadline reports
+// the retriable ErrDeadlineExceeded; the conn is then retired, so
+// pipelined siblings fail retriably too — and NOTHING reports the
 // terminal ErrClosed, because the client itself is still open.
 func TestPipelineTimeoutAbandonsOpSiblingsRetriable(t *testing.T) {
 	checkGoroutineLeak(t)
-	fake := startBinaryFake(t, func(conn net.Conn, br *bufio.Reader, fw *frameWriter) {
-		var buf []byte
-		for {
-			if _, _, _, err := readFrame(br, &buf); err != nil {
-				return
-			}
-			// Swallow every frame: binary half-open.
-		}
-	})
-	client, err := DialWith(fake.ln.Addr().String(), DialConfig{MaxConns: 1, OpTimeout: 100 * time.Millisecond})
+	addr := startHalfOpen(t)
+	client, err := DialWith(addr, DialConfig{MaxConns: 1, OpTimeout: 100 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +234,7 @@ func TestPipelineTimeoutAbandonsOpSiblingsRetriable(t *testing.T) {
 	timeouts := 0
 	for err := range errs {
 		if err == nil {
-			t.Fatal("op against half-open binary server succeeded")
+			t.Fatal("op against half-open server succeeded")
 		}
 		if errors.Is(err, ErrClosed) {
 			t.Fatalf("pipelined op misclassified terminal: %v", err)
@@ -337,9 +318,8 @@ func TestServerCloseCancelsParkedHandlers(t *testing.T) {
 
 // TestPipelineChaosMidFrameResets: the chaos layer cuts the connection
 // mid-frame on a recurring cadence while a redo-until-commit workload
-// runs over the binary codec. Every cut must classify retriably and the
-// workload must converge — binary framing changes the bytes on the
-// wire, not the failure contract.
+// runs. Every cut must classify retriably and the workload must
+// converge.
 func TestPipelineChaosMidFrameResets(t *testing.T) {
 	checkGoroutineLeak(t)
 	store := dynamosim.New(dynamosim.Options{})
@@ -364,9 +344,6 @@ func TestPipelineChaosMidFrameResets(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer client.Close()
-	if client.Codec() != CodecBinary {
-		t.Fatalf("negotiated codec = %q, want binary", client.Codec())
-	}
 
 	ctx := context.Background()
 	committed := 0
@@ -424,5 +401,77 @@ func requireRetriable(t *testing.T, err error) {
 	if !errors.Is(err, storage.ErrUnavailable) && !errors.Is(err, ErrDeadlineExceeded) &&
 		!errors.Is(err, core.ErrTxnNotFound) {
 		t.Fatalf("unclassified error under chaos: %v", err)
+	}
+}
+
+// TestFrameBytesMatchAcrossPeers: once the conn is quiesced, each
+// side's received bytes equal the other side's sent bytes, with and
+// without CRC trailers. Both counts are bytes on the wire, trailer
+// included.
+func TestFrameBytesMatchAcrossPeers(t *testing.T) {
+	for _, crc := range []bool{false, true} {
+		srv, addr, _ := startServer(t)
+		client, err := DialWith(addr, DialConfig{MaxConns: 1, FrameCRC: crc})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx := context.Background()
+		txid, err := client.StartTransaction(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := client.Put(ctx, txid, "k", []byte("value")); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := client.Get(ctx, txid, "k"); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := client.CommitTransaction(ctx, txid); err != nil {
+			t.Fatal(err)
+		}
+		c, s := client.Metrics().Snapshot(), srv.Metrics().Snapshot()
+		client.Close()
+		if c.BytesRecv != s.BytesSent || s.BytesRecv != c.BytesSent {
+			t.Fatalf("crc=%v: client sent/recv %d/%d bytes, server sent/recv %d/%d",
+				crc, c.BytesSent, c.BytesRecv, s.BytesSent, s.BytesRecv)
+		}
+		if c.FramesRecv != s.FramesSent || s.FramesRecv != c.FramesSent || c.FramesSent != 5 {
+			t.Fatalf("crc=%v: client sent/recv %d/%d frames, server sent/recv %d/%d, want 5 each way",
+				crc, c.FramesSent, c.FramesRecv, s.FramesSent, s.FramesRecv)
+		}
+	}
+}
+
+// TestServerMirrorsRequestCRC: the server puts a CRC trailer on a
+// response exactly when its request frame carried one, with no
+// negotiation — so one conn may even mix both.
+func TestServerMirrorsRequestCRC(t *testing.T) {
+	_, addr, _ := startServer(t)
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	br := bufio.NewReader(conn)
+	var buf []byte
+	for i, crc := range []bool{true, false, true} {
+		frame := appendRequestFrame(nil, uint64(i), &Request{Op: OpPing, Version: ProtocolVersion}, crc)
+		if _, err := conn.Write(frame); err != nil {
+			t.Fatal(err)
+		}
+		f, err := readFrame(br, &buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f.id != uint64(i) || f.crc != crc {
+			t.Fatalf("ping %d (crc=%v) answered with id %d crc=%v", i, crc, f.id, f.crc)
+		}
+		var resp Response
+		if err := decodeResponseFrame(f.code, f.payload, &resp); err != nil {
+			t.Fatal(err)
+		}
+		if resp.Version != ProtocolVersion || string(resp.Value) != "srv-1" {
+			t.Fatalf("hello reply = %+v", resp)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 // Package wire implements AFT's network protocol: a compact
-// request/response RPC over TCP using gob encoding, plus the server that
-// exposes an AFT node and the client that speaks to it.
+// request/response RPC over TCP using length-prefixed binary frames
+// (binary.go) on pipelined connections (pipeline.go), plus the server
+// that exposes an AFT node and the client that speaks to it.
 //
 // The protocol mirrors the Table 1 API exactly: StartTransaction, Get,
 // Put, CommitTransaction, AbortTransaction. Sentinel errors cross the wire
@@ -19,31 +20,11 @@ import (
 	"aft/internal/storage"
 )
 
-// ProtocolVersion is this build's wire protocol version, exchanged on
-// the Ping handshake. Version 1 adds the trace-context request fields
-// and typed unknown-op errors; version 2 adds the request deadline field
-// (the client's remaining per-op budget rides the wire so the server
-// abandons work the client has given up on); version 3 adds the binary
-// framed codec and per-connection pipelining, entered by an explicit
-// OpUpgradeCodec exchange after the handshake (until then every conn
-// speaks gob, so v≤2 peers in either direction keep working unchanged);
-// version 0 is the pre-handshake protocol (a v0 peer leaves the version
-// fields gob-zeroed, which is exactly the legacy behaviour — gob ignores
-// unknown struct fields, so the trace and deadline fields are negotiated
-// rather than assumed but the codec never breaks).
-const ProtocolVersion uint8 = 3
-
-// Codec names, selectable via DialConfig.Codec and the servers'
-// -wire-codec flag.
-const (
-	// CodecBinary is the length-prefixed binary framing with pipelined
-	// connections (protocol v3). The default whenever both peers
-	// negotiate it.
-	CodecBinary = "binary"
-	// CodecGob is the legacy lockstep gob codec, kept as the comparison
-	// baseline and the compatibility floor for v≤2 peers.
-	CodecGob = "gob"
-)
+// ProtocolVersion is this build's wire protocol version. Dial sends it
+// in a binary OpPing as the connection's first frame; the reply carries
+// the server's version, and any mismatch fails Dial. Version 4 is the
+// first where every connection speaks binary frames from its first byte.
+const ProtocolVersion uint8 = 4
 
 // Op identifies a request type.
 type Op uint8
@@ -60,21 +41,6 @@ const (
 	// OpMultiGet is appended after OpPing so the pre-existing op codes
 	// stay stable across versions.
 	OpMultiGet
-	// OpUpgradeCodec switches the connection from gob to the binary
-	// framed codec (protocol v3). It is always sent gob-encoded — the
-	// last gob message on the conn; the reply (also gob) acknowledges,
-	// and every subsequent byte in both directions is binary frames. The
-	// request's Value carries the feature byte (bit0: per-frame CRC). A
-	// v≤2 server answers ErrCodeUnknownOp and the client falls back to
-	// gob. Appended after OpMultiGet so pre-existing codes stay stable.
-	OpUpgradeCodec
-)
-
-// Upgrade feature bits, carried in OpUpgradeCodec's Value[0].
-const (
-	// featureCRC requests a CRC-32C trailer on every frame in both
-	// directions.
-	featureCRC byte = 1 << 0
 )
 
 // Request is one client->server message.
@@ -85,18 +51,14 @@ type Request struct {
 	Value []byte
 	// Keys carries an OpMultiGet's key batch (Key is unused for that op).
 	Keys []string
-	// TraceID/TraceSampled carry the client's trace context on OpStart
-	// (appended after the existing fields so the pre-existing layout
-	// stays stable; v0 peers simply never set them). Sent only after the
-	// handshake negotiated protocol version >= 1.
+	// TraceID/TraceSampled carry the client's trace context on OpStart.
 	TraceID      string
 	TraceSampled bool
-	// Version is the sender's protocol version, meaningful on OpPing.
+	// Version is the sender's protocol version, set on Dial's OpPing.
 	Version uint8
 	// DeadlineMillis is the client's remaining per-op time budget in
-	// milliseconds at send time (appended after the v1 fields; sent only
-	// after the handshake negotiated protocol version >= 2, 0 = no
-	// deadline). It is a relative duration rather than an absolute wall
+	// milliseconds at send time (0 = no deadline). It is a relative
+	// duration rather than an absolute wall
 	// time so client and server clocks never need to agree; the server
 	// derives a context deadline from it and abandons the op once the
 	// budget is spent.
@@ -142,8 +104,7 @@ type Response struct {
 	Message  string
 	// Values carries an OpMultiGet's results, aligned with Request.Keys.
 	Values [][]byte
-	// Version is the server's protocol version, set on the OpPing reply;
-	// the client speaks min(its own, this). A v0 server leaves it 0.
+	// Version is the server's protocol version, set on the OpPing reply.
 	Version uint8
 }
 
@@ -251,7 +212,7 @@ func (e *wireError) Error() string { return e.msg }
 func (e *wireError) Unwrap() error { return e.sentinel }
 
 // withMessage wraps sentinel so the server's message survives the wire.
-// When the message adds nothing over the sentinel's own text (v0 peers,
+// When the message adds nothing over the sentinel's own text (empty,
 // terse servers) the bare sentinel comes back, keeping err == sentinel
 // comparisons in legacy callers working.
 func withMessage(sentinel error, msg string) error {
