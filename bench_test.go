@@ -381,28 +381,13 @@ func BenchmarkFig10(b *testing.B) {
 	}
 }
 
-// parallelModes are the two node configurations every BenchmarkParallel*
-// compares: Baseline reconstructs the pre-striping behaviour (a single
-// metadata lock, per-transaction storage writes) via config flags, so the
-// striping + group-commit speedup is measured in the same run on the same
-// hardware. On a multi-core machine (GOMAXPROCS >= 8) Striped should beat
-// Baseline by >= 2.5x on the contended commit workload; on fewer cores the
-// ratio shrinks toward 1 (cmd/aft-bench -experiment parallel records
-// NumCPU next to the measurements).
-var parallelModes = []struct {
-	name string
-	cfg  core.Config
-}{
-	{"Baseline", core.Config{MetadataStripes: 1, DisableGroupCommit: true}},
-	{"Striped", core.Config{}},
-}
-
-func mkParallelNode(b *testing.B, cfg core.Config, cache bool) *core.Node {
+func mkParallelNode(b *testing.B, cache bool) *core.Node {
 	b.Helper()
-	cfg.NodeID = "bench"
-	cfg.Store = dynamosim.New(dynamosim.Options{})
-	cfg.EnableDataCache = cache
-	n, err := core.NewNode(cfg)
+	n, err := core.NewNode(core.Config{
+		NodeID:          "bench",
+		Store:           dynamosim.New(dynamosim.Options{}),
+		EnableDataCache: cache,
+	})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -411,37 +396,33 @@ func mkParallelNode(b *testing.B, cfg core.Config, cache bool) *core.Node {
 
 // BenchmarkParallelCommit measures the contended parallel commit path: every
 // transaction writes one of 8 hot keys plus a key from a wider pool, so
-// commits collide on the hot stripes and coalesce in the group pipeline.
+// concurrent commits coalesce in the group pipeline.
 func BenchmarkParallelCommit(b *testing.B) {
 	payload := workload.Payload(1, 1024)
-	for _, mode := range parallelModes {
-		b.Run(mode.name, func(b *testing.B) {
-			n := mkParallelNode(b, mode.cfg, false)
-			ctx := context.Background()
-			b.ReportAllocs()
-			b.RunParallel(func(pb *testing.PB) {
-				i := 0
-				for pb.Next() {
-					txid, err := n.StartTransaction(ctx)
-					if err != nil {
-						b.Error(err)
-						return
-					}
-					n.Put(ctx, txid, workload.KeyName(i%8), payload)
-					n.Put(ctx, txid, fmt.Sprintf("w-%d", i%512), payload)
-					if _, err := n.CommitTransaction(ctx, txid); err != nil {
-						b.Error(err)
-						return
-					}
-					i++
-				}
-			})
-			b.StopTimer()
-			sm := storeMetrics(b, n)
-			if sm.Batches > 0 {
-				b.ReportMetric(sm.ItemsPerBatch(), "items/batch")
+	n := mkParallelNode(b, false)
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.RunParallel(func(pb *testing.PB) {
+		i := 0
+		for pb.Next() {
+			txid, err := n.StartTransaction(ctx)
+			if err != nil {
+				b.Error(err)
+				return
 			}
-		})
+			n.Put(ctx, txid, workload.KeyName(i%8), payload)
+			n.Put(ctx, txid, fmt.Sprintf("w-%d", i%512), payload)
+			if _, err := n.CommitTransaction(ctx, txid); err != nil {
+				b.Error(err)
+				return
+			}
+			i++
+		}
+	})
+	b.StopTimer()
+	sm := storeMetrics(b, n)
+	if sm.Batches > 0 {
+		b.ReportMetric(sm.ItemsPerBatch(), "items/batch")
 	}
 }
 
@@ -449,35 +430,31 @@ func BenchmarkParallelCommit(b *testing.B) {
 // keyspace: three Algorithm-1 selections per transaction, cache enabled.
 func BenchmarkParallelRead(b *testing.B) {
 	payload := workload.Payload(1, 1024)
-	for _, mode := range parallelModes {
-		b.Run(mode.name, func(b *testing.B) {
-			n := mkParallelNode(b, mode.cfg, true)
-			ctx := context.Background()
-			for i := 0; i < 256; i++ {
-				commitKVs(b, n, map[string][]byte{workload.KeyName(i): payload})
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				i := 0
-				for pb.Next() {
-					txid, err := n.StartTransaction(ctx)
-					if err != nil {
-						b.Error(err)
-						return
-					}
-					for j := 0; j < 3; j++ {
-						if _, err := n.Get(ctx, txid, workload.KeyName((i+j*85)%256)); err != nil {
-							b.Error(err)
-							return
-						}
-					}
-					n.AbortTransaction(ctx, txid)
-					i++
-				}
-			})
-		})
+	n := mkParallelNode(b, true)
+	ctx := context.Background()
+	for i := 0; i < 256; i++ {
+		commitKVs(b, n, map[string][]byte{workload.KeyName(i): payload})
 	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		i := 0
+		for pb.Next() {
+			txid, err := n.StartTransaction(ctx)
+			if err != nil {
+				b.Error(err)
+				return
+			}
+			for j := 0; j < 3; j++ {
+				if _, err := n.Get(ctx, txid, workload.KeyName((i+j*85)%256)); err != nil {
+					b.Error(err)
+					return
+				}
+			}
+			n.AbortTransaction(ctx, txid)
+			i++
+		}
+	})
 }
 
 // BenchmarkParallelMixed measures the contended read/write mix — two reads
@@ -486,64 +463,60 @@ func BenchmarkParallelRead(b *testing.B) {
 // local GC runs.
 func BenchmarkParallelMixed(b *testing.B) {
 	payload := workload.Payload(1, 1024)
-	for _, mode := range parallelModes {
-		b.Run(mode.name, func(b *testing.B) {
-			n := mkParallelNode(b, mode.cfg, true)
-			ctx := context.Background()
-			for i := 0; i < 64; i++ {
-				commitKVs(b, n, map[string][]byte{workload.KeyName(i): payload})
-			}
-			stop := make(chan struct{})
-			go func() {
-				for {
-					select {
-					case <-stop:
-						return
-					default:
-						n.SweepLocalMetadata(128)
-						time.Sleep(100 * time.Microsecond)
-					}
-				}
-			}()
-			b.ReportAllocs()
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				i := 0
-				for pb.Next() {
-					txid, err := n.StartTransaction(ctx)
-					if err != nil {
-						b.Error(err)
-						return
-					}
-					if _, err := n.Get(ctx, txid, workload.KeyName(i%64)); err != nil {
-						b.Error(err)
-						return
-					}
-					if _, err := n.Get(ctx, txid, workload.KeyName((i+31)%64)); err != nil {
-						b.Error(err)
-						return
-					}
-					n.Put(ctx, txid, workload.KeyName(i%8), payload)
-					if _, err := n.CommitTransaction(ctx, txid); err != nil {
-						b.Error(err)
-						return
-					}
-					i++
-				}
-			})
-			b.StopTimer()
-			close(stop)
-		})
+	n := mkParallelNode(b, true)
+	ctx := context.Background()
+	for i := 0; i < 64; i++ {
+		commitKVs(b, n, map[string][]byte{workload.KeyName(i): payload})
 	}
+	stop := make(chan struct{})
+	go func() {
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				n.SweepLocalMetadata(128)
+				time.Sleep(100 * time.Microsecond)
+			}
+		}
+	}()
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		i := 0
+		for pb.Next() {
+			txid, err := n.StartTransaction(ctx)
+			if err != nil {
+				b.Error(err)
+				return
+			}
+			if _, err := n.Get(ctx, txid, workload.KeyName(i%64)); err != nil {
+				b.Error(err)
+				return
+			}
+			if _, err := n.Get(ctx, txid, workload.KeyName((i+31)%64)); err != nil {
+				b.Error(err)
+				return
+			}
+			n.Put(ctx, txid, workload.KeyName(i%8), payload)
+			if _, err := n.CommitTransaction(ctx, txid); err != nil {
+				b.Error(err)
+				return
+			}
+			i++
+		}
+	})
+	b.StopTimer()
+	close(stop)
 }
 
 // readPathModes are the two node configurations BenchmarkReadPath
 // compares: Baseline reconstructs the pre-batching read path (per-record
 // point Gets, no cold-read singleflight) via Config.DisableReadBatching,
-// so the round-trip reduction is measured in the same run. Like the
-// parallel benches, acceptance is in storage calls (reported as
-// calls/coldread and calls/txn metrics), not wall-clock — the simulators
-// have no injected latency here and a 1-CPU host shows no overlap.
+// so the round-trip reduction is measured in the same run. Acceptance is
+// in storage calls (reported as calls/coldread and calls/txn metrics), not
+// wall-clock — the simulators have no injected latency here and a 1-CPU
+// host shows no overlap.
 var readPathModes = []struct {
 	name string
 	cfg  core.Config

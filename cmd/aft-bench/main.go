@@ -15,7 +15,7 @@
 //	aft-bench -experiment fig7 -store wal     # any experiment over any backend
 //
 // Experiments: fig2, fig3 (includes table2), fig4, fig5, fig6, fig7, fig8,
-// fig9, fig10, ablation, sharded, parallel, readpath, chaos, durability,
+// fig9, fig10, ablation, sharded, readpath, chaos, durability,
 // telemetry (instrumentation-overhead comparison), resilience (network
 // partitions, conn resets, and overload through the real wire stack),
 // recovery (WAL checkpoints vs full replay, incremental bootstrap,
@@ -29,9 +29,9 @@
 // scale).
 //
 // Every run also writes machine-readable results to BENCH_<name>.json in
-// the -json directory ("" disables): the rendered tables plus, for the
-// sharded and parallel experiments, the raw per-cell measurements
-// (throughput, p50/p99 latency, and per-cell scaling/coalescing detail).
+// the -json directory ("" disables): the rendered tables plus, where an
+// experiment exposes them, the raw per-cell measurements (throughput,
+// p50/p99 latency, and per-cell scaling/coalescing detail).
 package main
 
 import (
@@ -58,7 +58,6 @@ type benchResult struct {
 	Store           string                       `json:"store,omitempty"`
 	Tables          []experiments.Table          `json:"tables"`
 	ShardedCells    []experiments.ShardedCell    `json:"sharded_cells,omitempty"`
-	ParallelCells   []experiments.ParallelCell   `json:"parallel_cells,omitempty"`
 	ReadPathCells   []experiments.ReadPathCell   `json:"readpath_cells,omitempty"`
 	ChaosCells      []experiments.ChaosCell      `json:"chaos_cells,omitempty"`
 	DurabilityCells []experiments.DurabilityCell `json:"durability_cells,omitempty"`
@@ -71,7 +70,7 @@ type benchResult struct {
 
 func main() {
 	var (
-		experiment = flag.String("experiment", "all", "experiment to run: all|fig2|fig3|table2|fig4|fig5|fig6|fig7|fig8|fig9|fig10|ablation|sharded|parallel|readpath|chaos|durability|telemetry|obsplane|resilience|recovery|wire")
+		experiment = flag.String("experiment", "all", "experiment to run: all|fig2|fig3|table2|fig4|fig5|fig6|fig7|fig8|fig9|fig10|ablation|sharded|readpath|chaos|durability|telemetry|obsplane|resilience|recovery|wire")
 		scale      = flag.Float64("scale", 0.1, "latency time scale: 1.0 = paper speed, 0.1 = 10x faster, 0 = no latency")
 		quick      = flag.Bool("quick", false, "shrink workloads ~10x")
 		seed       = flag.Int64("seed", 42, "random seed")
@@ -154,7 +153,6 @@ func main() {
 		{"fig10", one(experiments.Fig10)},
 		{"ablation", one(experiments.Ablation)},
 		{"sharded", one(experiments.Sharded)},
-		{"parallel", one(experiments.Parallel)},
 		{"readpath", one(experiments.ReadPath)},
 		{"chaos", one(experiments.Chaos)},
 		{"durability", one(experiments.Durability)},
@@ -192,19 +190,12 @@ func main() {
 		var err error
 		switch e.name {
 		case "sharded":
-			// The sharded and parallel experiments expose raw cells;
-			// render the table from them so the run happens once.
+			// Experiments that expose raw cells render the table from
+			// them so the run happens once.
 			res.ShardedCells, err = experiments.ShardedCells(opts)
 			if err == nil {
 				var t experiments.Table
 				t, err = experiments.ShardedTable(res.ShardedCells)
-				res.Tables = []experiments.Table{t}
-			}
-		case "parallel":
-			res.ParallelCells, err = experiments.ParallelCells(opts)
-			if err == nil {
-				var t experiments.Table
-				t, err = experiments.ParallelTable(res.ParallelCells)
 				res.Tables = []experiments.Table{t}
 			}
 		case "readpath":

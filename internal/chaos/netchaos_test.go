@@ -247,6 +247,9 @@ func TestNetChaosDelayDeterminism(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+		// The handler rolls for its next read before blocking in it; stop
+		// the server so that read has always happened when we count.
+		s.stop()
 		return s.h.NetFaultMetrics().Snapshot().Delays
 	}
 	a, b := run(42), run(42)

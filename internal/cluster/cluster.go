@@ -232,15 +232,21 @@ func (c *Cluster) addNode(ctx context.Context, warmup bool) (*core.Node, error) 
 	if err != nil {
 		return nil, err
 	}
+	// Register on the bus BEFORE bootstrapping, so no commit slips
+	// between the two: a record a peer drains after this point is
+	// delivered here, and one drained before it was already durable, so
+	// the bootstrap's listing of the commit set finds it. A commit that
+	// is neither listed nor delivered would leave this node serving an
+	// older version of its keys for good. In sharded mode the
+	// registration also precedes joining the ring: the instant the ring
+	// routes a shard here, scoped multicast must be able to deliver
+	// (FlushPeer silently skips owners not on the bus).
+	c.bus.Register(node)
 	if c.ring != nil {
-		// Register on the bus BEFORE joining the ring: the instant the
-		// ring routes a shard here, scoped multicast must be able to
-		// deliver (FlushPeer silently skips owners not on the bus).
-		// Then join the ring before bootstrapping so warm-up covers
-		// exactly the shards this node owns. The ownership closure
-		// reads live ring state, so later rebalances apply without
-		// re-wiring.
-		c.bus.Register(node)
+		// Join the ring before bootstrapping so warm-up covers exactly the
+		// shards this node owns. The ownership closure reads live ring
+		// state, so later rebalances apply without re-wiring.
+		//
 		// The tight per-node cap means a join also spills shards BETWEEN
 		// survivors, not only to the joiner — warm those survivors from
 		// the fault manager just like a leave does. (The joiner itself
@@ -274,8 +280,8 @@ func (c *Cluster) addNode(ctx context.Context, warmup bool) (*core.Node, error) 
 	if err := bootstrap(ctx); err != nil {
 		if c.ring != nil {
 			c.reannounceForPlan(c.ring.RemoveNode(id))
-			c.bus.Unregister(id)
 		}
+		c.bus.Unregister(id)
 		return nil, fmt.Errorf("cluster: bootstrapping %s: %w", id, err)
 	}
 	// The join itself is a system trace on the new node's tracer, so a
@@ -300,8 +306,8 @@ func (c *Cluster) addNode(ctx context.Context, warmup bool) (*core.Node, error) 
 		c.mu.Unlock()
 		if c.ring != nil {
 			c.reannounceForPlan(c.ring.RemoveNode(id))
-			c.bus.Unregister(id)
 		}
+		c.bus.Unregister(id)
 		return nil, fmt.Errorf("cluster: stopped")
 	}
 	m.mc.Start()

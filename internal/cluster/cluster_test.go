@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -11,6 +12,7 @@ import (
 	"aft/internal/latency"
 	"aft/internal/lb"
 	"aft/internal/records"
+	"aft/internal/storage"
 	"aft/internal/storage/dynamosim"
 )
 
@@ -269,6 +271,76 @@ func TestAddNodeScalesUp(t *testing.T) {
 	v, err := n.Get(ctx, txid, "k")
 	if err != nil || string(v) != "v" {
 		t.Fatalf("new node read = %q, %v", v, err)
+	}
+}
+
+// listHookStore runs its armed hook once, between computing a listing of
+// the Transaction Commit Set and returning it: whatever the hook commits
+// is missing from the listing the caller sees.
+type listHookStore struct {
+	storage.Store
+	hook atomic.Pointer[func()]
+}
+
+func (s *listHookStore) List(ctx context.Context, prefix string) ([]string, error) {
+	keys, err := s.Store.List(ctx, prefix)
+	if prefix == records.CommitPrefix {
+		if h := s.hook.Swap(nil); h != nil {
+			(*h)()
+		}
+	}
+	return keys, err
+}
+
+// TestJoinSeesCommitDuringBootstrap pins the join handoff: a commit that
+// lands after a joining node's bootstrap listed the commit set, and is
+// multicast before the join completes, must still reach the joiner. The
+// joiner holds a resident version of the key, so its reads never consult
+// storage; a missed announcement would serve the older version forever.
+func TestJoinSeesCommitDuringBootstrap(t *testing.T) {
+	store := &listHookStore{Store: dynamosim.New(dynamosim.Options{})}
+	c, err := New(Config{Nodes: 1, Store: store, MulticastPeriod: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if err := c.Start(ctx); err != nil {
+		t.Fatal(err)
+	}
+	defer c.Stop()
+	writer := c.Nodes()[0]
+	commit := func(v string) {
+		txid, err := writer.StartTransaction(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := writer.Put(ctx, txid, "k", []byte(v)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := writer.CommitTransaction(ctx, txid); err != nil {
+			t.Fatal(err)
+		}
+	}
+	commit("old")
+	c.FlushMulticast()
+	hook := func() {
+		commit("new")
+		c.FlushMulticast()
+	}
+	store.hook.Store(&hook)
+	joiner, err := c.AddNode(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if store.hook.Load() != nil {
+		t.Fatal("the joiner's bootstrap never listed the commit set")
+	}
+	txid, err := joiner.StartTransaction(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, err := joiner.Get(ctx, txid, "k"); err != nil || string(v) != "new" {
+		t.Fatalf("joiner read = %q, %v; want the commit made during its bootstrap", v, err)
 	}
 }
 

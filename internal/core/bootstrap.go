@@ -15,8 +15,8 @@ import (
 // each one into the Commit Set Cache and key-version index. A node runs
 // this when it starts — including when it replaces a failed node (§6.7) —
 // so that data committed by any node in the deployment is visible to it.
-// Each record locks only its own stripes, so a warm-up can run while the
-// node already serves traffic.
+// Each record takes the metadata lock on its own, so a warm-up can run
+// while the node already serves traffic.
 //
 // Bootstrap also completes the failure-recovery contract of §3.3.1: any
 // transaction whose commit record is found is by construction fully
@@ -110,10 +110,9 @@ func (n *Node) bootstrapSince(ctx context.Context, since string) error {
 		if !ownsAny(owns, rec) {
 			continue
 		}
-		ss := n.stripesOf(rec.WriteSet)
-		lockStripes(ss)
+		n.meta.mu.Lock()
 		installed := n.installLocked(rec)
-		unlockStripes(ss)
+		n.meta.mu.Unlock()
 		if installed {
 			n.tmu.Lock()
 			n.committedByUUID[rec.UUID] = rec.ID()

@@ -2,10 +2,8 @@ package core
 
 import (
 	"context"
-	"sort"
 	"strconv"
 
-	"aft/internal/idgen"
 	"aft/internal/records"
 	"aft/internal/telemetry"
 )
@@ -108,12 +106,7 @@ func (n *Node) EnforceBudget(ctx context.Context) (int, error) {
 // evicted only while it is re-fetchable, so a read after the spill
 // recovers it through the partial-metadata fallback.
 func (n *Node) spillColdRecords(ctx context.Context, budget int64) (int, error) {
-	byID := n.snapshotRecords()
-	ids := make([]idgen.ID, 0, len(byID))
-	for id := range byID {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i].Less(ids[j]) })
+	recs := n.KnownCommits()
 
 	// The fallback must be live BEFORE the first record disappears, or a
 	// concurrent read could observe the gap as a clean miss.
@@ -121,15 +114,15 @@ func (n *Node) spillColdRecords(ctx context.Context, budget int64) (int, error) 
 
 	const probeChunk = 64
 	spilled := 0
-	for start := 0; start < len(ids) && n.MetadataBytes() > budget; start += probeChunk {
+	for start := 0; start < len(recs) && n.MetadataBytes() > budget; start += probeChunk {
 		end := start + probeChunk
-		if end > len(ids) {
-			end = len(ids)
+		if end > len(recs) {
+			end = len(recs)
 		}
-		chunk := ids[start:end]
+		chunk := recs[start:end]
 		keys := make([]string, len(chunk))
-		for i, id := range chunk {
-			keys[i] = records.CommitKey(id)
+		for i, rec := range chunk {
+			keys[i] = records.CommitKey(rec.ID())
 		}
 		payloads, err := n.batchFetchPayloads(ctx, keys)
 		if err != nil {
@@ -160,25 +153,24 @@ func (n *Node) spillColdRecords(ctx context.Context, budget int64) (int, error) 
 				}
 			}
 		}
-		for i, id := range chunk {
+		for i, rec := range chunk {
 			if n.MetadataBytes() <= budget {
 				break
 			}
-			rec := byID[id]
+			id := rec.ID()
 			if _, ok := payloads[keys[i]]; !ok {
 				continue // not re-fetchable (GC raced the probe): keep it
 			}
-			ss := n.stripesOf(rec.WriteSet)
-			lockStripes(ss)
-			if cached, still := ss[0].commits[id]; !still || cached != rec {
-				unlockStripes(ss)
+			n.meta.mu.Lock()
+			if cached, still := n.meta.commits[id]; !still || cached != rec {
+				n.meta.mu.Unlock()
 				continue // removed or replaced since the snapshot
 			}
 			n.pinMu.Lock()
 			pinned := n.readers[id] > 0
 			n.pinMu.Unlock()
 			if pinned {
-				unlockStripes(ss)
+				n.meta.mu.Unlock()
 				continue // an active reader resolves through this record (§5.1)
 			}
 			// Where this eviction removes a key's newest resident version,
@@ -187,19 +179,18 @@ func (n *Node) spillColdRecords(ctx context.Context, budget int64) (int, error) 
 			// against storage until a version >= the floor is re-installed
 			// (read.go). Keys whose index keeps a newer version need none.
 			for _, k := range rec.WriteSet {
-				s := n.stripeFor(k)
-				if latest, ok := s.index.latest(k); ok && id.Less(latest) {
+				if latest, ok := n.meta.index.latest(k); ok && id.Less(latest) {
 					continue
 				}
-				if fl, ok := s.spillFloor[k]; !ok || fl.Less(id) {
-					s.spillFloor[k] = id
+				if fl, ok := n.meta.spillFloor[k]; !ok || fl.Less(id) {
+					n.meta.spillFloor[k] = id
 				}
 			}
 			// No locally-deleted marker (this is eviction, not GC) and the
 			// commit-idempotency marker survives: a client retrying a lost
 			// commit response must still get idempotent success.
-			n.removeLocked(rec, ss, false)
-			unlockStripes(ss)
+			n.removeLocked(rec, false)
+			n.meta.mu.Unlock()
 			spilled++
 		}
 	}

@@ -349,10 +349,9 @@ func TestFullInstallUpgradesPartialIndex(t *testing.T) {
 	if rec2 == nil {
 		t.Fatal("writer lost rec2")
 	}
-	ss := b.stripesOf(rec2.WriteSet)
-	lockStripes(ss)
+	b.meta.mu.Lock()
 	b.installRecoveredLocked(rec2, "s")
-	unlockStripes(ss)
+	b.meta.mu.Unlock()
 
 	// The window the upgrade closes: y's index still ends at v1.
 	txid, err := b.StartTransaction(ctx)

@@ -4,6 +4,8 @@ import (
 	"container/list"
 	"sync"
 	"sync/atomic"
+
+	"aft/internal/strhash"
 )
 
 // dataCache is the node's read cache for key-version payloads (§3.1): it
@@ -21,8 +23,7 @@ type dataCache struct {
 }
 
 // cacheShardCount is the shard count (power of two) for large caches;
-// sized like the metadata stripes to keep reader collisions rare at high
-// core counts. Small caches stay on one shard: per-shard LRU is only a
+// enough to keep reader collisions rare at high core counts. Small caches stay on one shard: per-shard LRU is only a
 // faithful approximation of global LRU when each shard holds many entries,
 // and exact eviction order matters more than lock spread at tiny sizes.
 const (
@@ -67,7 +68,7 @@ func newDataCache(capacity int) *dataCache {
 }
 
 func (c *dataCache) shardFor(storageKey string) *cacheShard {
-	return c.shards[stripeHash(storageKey)&c.mask]
+	return c.shards[strhash.FNV32a(storageKey)&c.mask]
 }
 
 // get returns a copy of the cached value, if present.

@@ -29,8 +29,8 @@ import (
 // transactions hand steps 1 and 2 to the group-commit pipeline
 // (groupcommit.go), which coalesces their data and record writes into
 // shared BatchPut round trips while preserving the step ordering for every
-// transaction in the flush. Engines without batching (or nodes with
-// Config.DisableGroupCommit) take the direct path below.
+// transaction in the flush. Engines without batching take the direct path
+// below.
 //
 // A failure before step 2 completes leaves no visible effects: the data
 // keys are unreferenced and the transaction will be retried. Commit is
@@ -174,7 +174,7 @@ func (n *Node) commitTransaction(ctx context.Context, txid string) (idgen.ID, er
 		return idgen.Null, fmt.Errorf("aft: encoding commit record: %w", err)
 	}
 
-	if !n.cfg.DisableGroupCommit && n.store.Capabilities().BatchWrites {
+	if n.store.Capabilities().BatchWrites {
 		// Group pipeline: steps 1 and 2 are flushed together with other
 		// in-flight commits; the flush also installs the record and
 		// queues the multicast announcement (step 3 visibility).
@@ -230,10 +230,9 @@ func (n *Node) commitTransaction(ctx context.Context, txid string) (idgen.ID, er
 // into the local metadata cache and multicast queue.
 func (n *Node) finishCommit(t *txnState, txid string, id idgen.ID, rec *records.CommitRecord, installed bool) {
 	if rec != nil && !installed {
-		ss := n.stripesOf(rec.WriteSet)
-		lockStripes(ss)
+		n.meta.mu.Lock()
 		n.installLocked(rec)
-		unlockStripes(ss)
+		n.meta.mu.Unlock()
 		n.recMu.Lock()
 		n.recent = append(n.recent, rec)
 		n.recMu.Unlock()

@@ -28,7 +28,7 @@ package core
 // member transactions: phase one writes every transaction's data versions,
 // phase two writes the commit records of exactly those transactions whose
 // data is fully durable, and only then does phase three install the
-// records into the metadata stripes (visibility) and enqueue the whole
+// records into the metadata cache (visibility) and enqueue the whole
 // flush as ONE append to the multicast queue. No commit record is ever
 // written before its data, and no commit is acknowledged before its record
 // is durable.
@@ -53,7 +53,7 @@ type commitReq struct {
 	// recKey/recVal are the step-2 commit-record write.
 	recKey string
 	recVal []byte
-	// rec is installed into the metadata stripes after recVal is durable.
+	// rec is installed into the metadata cache after recVal is durable.
 	rec *records.CommitRecord
 	// trace, when non-nil, receives a retroactive gc.flush span: the
 	// flush runs under one member's goroutine, but every traced member
@@ -172,20 +172,20 @@ func (n *Node) flushCommits(ctx context.Context, batch []*commitReq) {
 		return map[string][]byte{req.recKey: req.recVal}
 	})
 
-	// Phase 3: visibility. Install each durable record into its stripes,
-	// then hand the whole flush to the multicast queue in one append.
+	// Phase 3: visibility. Install every durable record under one hold of
+	// the metadata lock, then hand the whole flush to the multicast queue
+	// in one append.
 	visible := make([]*records.CommitRecord, 0, len(batch))
+	n.meta.mu.Lock()
 	for _, req := range batch {
 		if err := failed[req]; err != nil {
 			req.err = err
 			continue
 		}
-		ss := n.stripesOf(req.rec.WriteSet)
-		lockStripes(ss)
 		n.installLocked(req.rec)
-		unlockStripes(ss)
 		visible = append(visible, req.rec)
 	}
+	n.meta.mu.Unlock()
 	if len(visible) > 0 {
 		n.recMu.Lock()
 		n.recent = append(n.recent, visible...)

@@ -50,9 +50,9 @@ func (vi versionIndex) latest(key string) (idgen.ID, bool) {
 }
 
 // atLeast returns key's versions with ID >= lower, in ascending order. The
-// result is a copy: under striped locking a slice aliasing the index would
-// be a latent data race the moment a caller held it past the stripe lock
-// (insert shifts the shared backing array in place).
+// result is a copy: a slice aliasing the index would be a latent data race
+// the moment a caller held it past the metadata lock (insert shifts the
+// shared backing array in place).
 func (vi versionIndex) atLeast(key string, lower idgen.ID) []idgen.ID {
 	versions := vi[key]
 	i := sort.Search(len(versions), func(i int) bool { return !versions[i].Less(lower) })

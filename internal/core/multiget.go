@@ -61,7 +61,7 @@ func (n *Node) doMultiGet(ctx context.Context, t *txnState, txid string, keys []
 	plans := make([]*readPlan, len(keys))
 
 	// Metadata phase: plan every key under one t.mu hold. Version
-	// selection takes only stripe read locks per key; the cold-key
+	// selection takes only the metadata read lock per key; the cold-key
 	// metadata recovery (sharded mode) runs here too, coalesced with
 	// concurrent readers via the singleflight.
 	plan := func(idxs []int) error {

@@ -18,18 +18,17 @@
 //   - repeatable read: re-reading a key returns the same version absent an
 //     intervening self-write.
 //
-// Concurrency model: the metadata cache is partitioned across key-hash
-// lock stripes (stripe.go) so reads, commits, merges, and GC sweeps on
-// disjoint keys proceed in parallel; a small RWMutex-guarded node-level
-// table holds transaction lifecycle state; and concurrent commits coalesce
-// their storage writes through a group-commit pipeline (groupcommit.go).
+// Concurrency model: the metadata cache sits behind one RWMutex (meta.go)
+// that reads hold shared and installs, merges and GC sweeps take one
+// record at a time; a small RWMutex-guarded node-level table holds
+// transaction lifecycle state; and concurrent commits coalesce their
+// storage writes through a group-commit pipeline (groupcommit.go).
 package core
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -133,17 +132,6 @@ type Config struct {
 	// packed object and extract their key. Best for engines with high
 	// per-request latency and no batch primitive (S3).
 	PackedLayout bool
-	// MetadataStripes is the lock-stripe count of the metadata core,
-	// rounded up to a power of two; 0 defaults to 64. Setting 1 collapses
-	// the core to a single lock — the pre-striping behavior, kept as the
-	// measurable baseline for the parallel benchmarks.
-	MetadataStripes int
-	// DisableGroupCommit makes every commit issue its own storage writes
-	// instead of coalescing concurrent commits into shared BatchPut round
-	// trips. Group commit only engages on engines whose Capabilities
-	// report BatchWrites, so engines without a batch primitive always
-	// behave as if this were set.
-	DisableGroupCommit bool
 	// GroupCommitFlushers bounds how many group-commit flushes run
 	// concurrently; 0 defaults to max(8, MaxConcurrent) so the pipeline
 	// never caps storage concurrency below the node's configured client
@@ -154,8 +142,7 @@ type Config struct {
 	// DisableReadBatching makes the read pipeline fetch commit records and
 	// MultiGet payloads with one point Get per key and disables the
 	// cold-read singleflight — the pre-batching behaviour, kept as the
-	// measurable baseline for the read-path benchmarks (the read-side
-	// mirror of DisableGroupCommit).
+	// measurable baseline for the read-path benchmarks.
 	DisableReadBatching bool
 	// IDEntropySeed, when non-zero, makes transaction-UUID entropy a
 	// seeded deterministic stream (mixed with the node ID, so replicas
@@ -195,14 +182,9 @@ type Node struct {
 	// cfg.AdmissionQueue.
 	waiting atomic.Int64
 
-	// stripes is the lock-striped metadata core: Commit Set Cache,
-	// key-version index, and locally-deleted markers, partitioned by key
-	// hash (stripe.go). metaCount tracks the number of distinct cached
-	// commit records (each record is registered in every stripe its
-	// write set touches).
-	stripes    []*stripe
-	stripeMask int
-	metaCount  atomic.Int64
+	// meta is the metadata core: Commit Set Cache, key-version index,
+	// locally-deleted markers and spill floors (meta.go).
+	meta metaTable
 	// metaBytes approximates the resident bytes of cached commit records
 	// (records.CommitRecord.ApproxBytes, counted once per record at
 	// install/remove); together with the data cache's byte count it is
@@ -357,29 +339,17 @@ func NewNode(cfg Config) (*Node, error) {
 	if cfg.NodeID == "" {
 		return nil, fmt.Errorf("core: Config.NodeID is required")
 	}
-	nstripes := cfg.MetadataStripes
-	if nstripes <= 0 {
-		nstripes = defaultStripes
-	}
-	pow := 1
-	for pow < nstripes {
-		pow <<= 1
-	}
 	clock := cfg.Clock
 	n := &Node{
 		cfg:             cfg,
 		store:           cfg.Store,
 		gen:             idgen.NewGenerator(clock, cfg.NodeID),
 		clock:           clock,
-		stripes:         make([]*stripe, pow),
-		stripeMask:      pow - 1,
+		meta:            newMetaTable(),
 		txns:            make(map[string]*txnState),
 		committedByUUID: make(map[string]idgen.ID),
 		readers:         make(map[idgen.ID]int),
 		fetching:        make(map[string]*fetchCall),
-	}
-	for i := range n.stripes {
-		n.stripes[i] = newStripe()
 	}
 	if cfg.IDEntropySeed != 0 {
 		n.gen.SeedEntropy(cfg.IDEntropySeed ^ int64(strhash.FNV32a(cfg.NodeID)))
@@ -536,9 +506,8 @@ func (n *Node) release() {
 
 // MergeRemoteCommits installs commit records learned from peers (multicast,
 // §4) or from the fault manager (§4.2). Records superseded by local state
-// are dropped without installation (§4.1). Each record locks only its own
-// stripes, so merges proceed concurrently with reads and commits on other
-// keys.
+// are dropped without installation (§4.1). Each record takes the metadata
+// lock on its own, so reads interleave with a long merge.
 func (n *Node) MergeRemoteCommits(recs []*records.CommitRecord) {
 	owns := n.ownership()
 	var merged, prunedMerges, prunedNonOwned int64
@@ -569,17 +538,14 @@ func (n *Node) MergeRemoteCommits(recs []*records.CommitRecord) {
 			}
 			continue
 		}
-		ss := n.stripesOf(rec.WriteSet)
-		lockStripes(ss)
+		n.meta.mu.Lock()
 		if n.supersededForNodeLocked(rec, owns) {
 			// A record pruned at merge time was never cached here, so
 			// from the global GC's perspective this node has already
 			// "locally deleted" it (§5.2 unanimity check). The entry is
 			// cleared by ForgetDeleted once the global GC acts.
-			if _, known := ss[0].commits[rec.ID()]; !known {
-				for _, s := range ss {
-					s.locallyDeleted[rec.ID()] = rec
-				}
+			if _, known := n.meta.commits[rec.ID()]; !known {
+				n.meta.locallyDeleted[rec.ID()] = rec
 			}
 			prunedMerges++
 			outcome = "pruned"
@@ -587,7 +553,7 @@ func (n *Node) MergeRemoteCommits(recs []*records.CommitRecord) {
 			merged++
 			outcome = "merged"
 		}
-		unlockStripes(ss)
+		n.meta.mu.Unlock()
 		if traced {
 			n.tracer.ForeignSpan(rec.TraceID, "multicast.delivery",
 				deliveryStart, time.Since(deliveryStart),
@@ -601,14 +567,14 @@ func (n *Node) MergeRemoteCommits(recs []*records.CommitRecord) {
 
 // supersededLocked implements Algorithm 2: a transaction is superseded when
 // every key it wrote has a committed version newer than the transaction's.
-// The caller must hold (at least read) locks covering all of rec's stripes.
+// The caller holds meta.mu (at least for reading).
 func (n *Node) supersededLocked(rec *records.CommitRecord) bool {
 	id := rec.ID()
 	if len(rec.WriteSet) == 0 {
 		return true
 	}
 	for _, k := range rec.WriteSet {
-		latest, ok := n.stripeFor(k).index.latest(k)
+		latest, ok := n.meta.index.latest(k)
 		if !ok || !id.Less(latest) {
 			return false
 		}
@@ -619,9 +585,8 @@ func (n *Node) supersededLocked(rec *records.CommitRecord) bool {
 // IsSuperseded reports whether rec is superseded by this node's local state
 // (Algorithm 2).
 func (n *Node) IsSuperseded(rec *records.CommitRecord) bool {
-	ss := n.stripesOf(rec.WriteSet)
-	rlockStripes(ss)
-	defer runlockStripes(ss)
+	n.meta.mu.RLock()
+	defer n.meta.mu.RUnlock()
 	return n.supersededLocked(rec)
 }
 
@@ -631,7 +596,7 @@ func (n *Node) IsSuperseded(rec *records.CommitRecord) bool {
 // not responsible for a cross-shard record's other keys — their owners
 // are — and requiring full supersedence would let a record whose other
 // keys' updates were never routed here pin the cache (and its Caches GC
-// vote) forever. The caller must hold locks covering all of rec's stripes.
+// vote) forever. The caller holds meta.mu (at least for reading).
 func (n *Node) supersededForNodeLocked(rec *records.CommitRecord, owns ownsFunc) bool {
 	if owns == nil {
 		return n.supersededLocked(rec)
@@ -643,7 +608,7 @@ func (n *Node) supersededForNodeLocked(rec *records.CommitRecord, owns ownsFunc)
 			continue
 		}
 		owned++
-		latest, ok := n.stripeFor(k).index.latest(k)
+		latest, ok := n.meta.index.latest(k)
 		if !ok || !id.Less(latest) {
 			return false
 		}
@@ -663,30 +628,19 @@ func (n *Node) Drain() []*records.CommitRecord {
 	return out
 }
 
-// KnownCommits returns a snapshot of the Commit Set Cache in ascending ID
-// order.
-func (n *Node) KnownCommits() []*records.CommitRecord {
-	byID := n.snapshotRecords()
-	out := make([]*records.CommitRecord, 0, len(byID))
-	for _, rec := range byID {
-		out = append(out, rec)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID().Less(out[j].ID()) })
-	return out
-}
-
 // MetadataSize returns the number of cached commit records (the quantity
 // the local GC bounds, §5.1).
 func (n *Node) MetadataSize() int {
-	return int(n.metaCount.Load())
+	n.meta.mu.RLock()
+	defer n.meta.mu.RUnlock()
+	return len(n.meta.commits)
 }
 
 // VersionsOf returns the committed versions of key known locally, ascending.
 func (n *Node) VersionsOf(key string) []idgen.ID {
-	s := n.stripeFor(key)
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return append([]idgen.ID(nil), s.index[key]...)
+	n.meta.mu.RLock()
+	defer n.meta.mu.RUnlock()
+	return append([]idgen.ID(nil), n.meta.index[key]...)
 }
 
 // SweepLocalMetadata runs one pass of the local metadata GC (§5.1): for
@@ -697,11 +651,10 @@ func (n *Node) VersionsOf(key string) []idgen.ID {
 // for the global GC (§5.2). At most limit transactions are removed per
 // pass (0 means unlimited). It returns the removed transaction IDs.
 //
-// The sweep locks one record's stripes at a time: candidates come from a
-// lock-free-ish snapshot and every check (presence, reader pins,
-// supersedence) is re-run under the record's write locks before removal,
-// so concurrent reads and commits on other stripes never stall behind a
-// sweep.
+// The sweep write-locks one record at a time: candidates come from a
+// snapshot and every check (presence, reader pins, supersedence) is re-run
+// under the lock before removal, so concurrent reads and commits never
+// stall behind a whole sweep.
 //
 // In sharded mode the sweep additionally evicts transactions touching no
 // owned key — typically this node's own commits to non-owned shards,
@@ -711,41 +664,34 @@ func (n *Node) VersionsOf(key string) []idgen.ID {
 // the global GC consults only shard owners for deletion votes.
 func (n *Node) SweepLocalMetadata(limit int) []idgen.ID {
 	owns := n.ownership()
-	byID := n.snapshotRecords()
-	ids := make([]idgen.ID, 0, len(byID))
-	for id := range byID {
-		ids = append(ids, id)
-	}
-	// Oldest first: mitigates the §5.2.1 missing-version pitfall.
-	sort.Slice(ids, func(i, j int) bool { return ids[i].Less(ids[j]) })
 	var removed []idgen.ID
 	var sweptOwned, sweptNonOwned int64
 	var forgetUUIDs []string
-	for _, id := range ids {
+	// Oldest first: mitigates the §5.2.1 missing-version pitfall.
+	for _, rec := range n.KnownCommits() {
 		if limit > 0 && len(removed) >= limit {
 			break
 		}
-		rec := byID[id]
-		ss := n.stripesOf(rec.WriteSet)
-		lockStripes(ss)
-		if _, still := ss[0].commits[id]; !still {
-			unlockStripes(ss)
+		id := rec.ID()
+		n.meta.mu.Lock()
+		if _, still := n.meta.commits[id]; !still {
+			n.meta.mu.Unlock()
 			continue // removed concurrently since the snapshot
 		}
 		n.pinMu.Lock()
 		pinned := n.readers[id] > 0
 		n.pinMu.Unlock()
 		if pinned {
-			unlockStripes(ss)
+			n.meta.mu.Unlock()
 			continue // pinned by an active reader (§5.1)
 		}
 		owned := ownsAny(owns, rec)
 		if owned && !n.supersededForNodeLocked(rec, owns) {
-			unlockStripes(ss)
+			n.meta.mu.Unlock()
 			continue
 		}
-		n.removeLocked(rec, ss, owned)
-		unlockStripes(ss)
+		n.removeLocked(rec, owned)
+		n.meta.mu.Unlock()
 		if owned {
 			forgetUUIDs = append(forgetUUIDs, rec.UUID)
 			sweptOwned++
@@ -781,21 +727,11 @@ func (n *Node) SweepLocalMetadata(limit int) []idgen.ID {
 // from the storage fallback are covered by the ErrVersionVanished retry.
 func (n *Node) Caches(ids []idgen.ID) map[idgen.ID]bool {
 	out := make(map[idgen.ID]bool, len(ids))
+	n.meta.mu.RLock()
 	for _, id := range ids {
-		out[id] = false
+		_, out[id] = n.meta.commits[id]
 	}
-	// One pass over the stripes, probing every id under each single lock
-	// hold — the global GC queries whole candidate lists, and per-id
-	// stripe scans would multiply lock traffic by the stripe count.
-	for _, s := range n.stripes {
-		s.mu.RLock()
-		for _, id := range ids {
-			if !out[id] {
-				_, out[id] = s.commits[id]
-			}
-		}
-		s.mu.RUnlock()
-	}
+	n.meta.mu.RUnlock()
 	return out
 }
 
@@ -804,18 +740,11 @@ func (n *Node) Caches(ids []idgen.ID) map[idgen.ID]bool {
 // nodes have).
 func (n *Node) LocallyDeleted(ids []idgen.ID) map[idgen.ID]bool {
 	out := make(map[idgen.ID]bool, len(ids))
+	n.meta.mu.RLock()
 	for _, id := range ids {
-		out[id] = false
+		_, out[id] = n.meta.locallyDeleted[id]
 	}
-	for _, s := range n.stripes {
-		s.mu.RLock()
-		for _, id := range ids {
-			if !out[id] {
-				_, out[id] = s.locallyDeleted[id]
-			}
-		}
-		s.mu.RUnlock()
-	}
+	n.meta.mu.RUnlock()
 	return out
 }
 
@@ -823,13 +752,11 @@ func (n *Node) LocallyDeleted(ids []idgen.ID) map[idgen.ID]bool {
 // commit-idempotency markers — after the global GC has removed the
 // transactions' data from storage.
 func (n *Node) ForgetDeleted(ids []idgen.ID) {
-	for _, s := range n.stripes {
-		s.mu.Lock()
-		for _, id := range ids {
-			delete(s.locallyDeleted, id)
-		}
-		s.mu.Unlock()
+	n.meta.mu.Lock()
+	for _, id := range ids {
+		delete(n.meta.locallyDeleted, id)
 	}
+	n.meta.mu.Unlock()
 	n.tmu.Lock()
 	for _, id := range ids {
 		delete(n.committedByUUID, id.UUID)

@@ -1,9 +1,9 @@
 package core
 
-// parallel_test.go stresses the striped metadata core and the group-commit
-// pipeline under -race: concurrent commits, reads, multicast merges, and
-// GC sweeps on shared keys, checking the §3.2 guarantees hold without the
-// old global node lock.
+// parallel_test.go stresses the metadata core and the group-commit
+// pipeline under -race: concurrent commits, reads, multicast merges, GC
+// sweeps and global-GC queries on shared keys, checking the §3.2
+// guarantees hold.
 
 import (
 	"context"
@@ -18,24 +18,11 @@ import (
 	"aft/internal/storage/dynamosim"
 )
 
-// TestStripeCountRounding pins the power-of-two normalization.
-func TestStripeCountRounding(t *testing.T) {
-	for _, tc := range []struct{ in, want int }{
-		{0, defaultStripes}, {1, 1}, {2, 2}, {5, 8}, {64, 64}, {100, 128},
-	} {
-		n, err := NewNode(Config{NodeID: "s", Store: dynamosim.New(dynamosim.Options{}), MetadataStripes: tc.in})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(n.stripes) != tc.want {
-			t.Fatalf("MetadataStripes %d: %d stripes, want %d", tc.in, len(n.stripes), tc.want)
-		}
-	}
-}
-
 // TestParallelCommitReadMergeSweep hammers one node with concurrent
 // committers, read-atomicity checkers, a multicast merger feeding records
-// from a second node, and a metadata sweeper — all on overlapping keys.
+// from a second node, a metadata sweeper, and a global-GC voter querying
+// Caches/LocallyDeleted and calling ForgetDeleted on the IDs it sees — all
+// on overlapping keys.
 // Committers write a two-key pair atomically with identical values; a
 // reader observing different pair values would be a fractured read.
 func TestParallelCommitReadMergeSweep(t *testing.T) {
@@ -80,7 +67,7 @@ func TestParallelCommitReadMergeSweep(t *testing.T) {
 	)
 	var wg sync.WaitGroup
 	var stop atomic.Bool
-	errc := make(chan error, committers+readers+2)
+	errc := make(chan error, committers+readers+3)
 
 	for c := 0; c < committers; c++ {
 		wg.Add(1)
@@ -148,12 +135,66 @@ func TestParallelCommitReadMergeSweep(t *testing.T) {
 			n.MergeRemoteCommits(peer.Drain())
 		}
 	}()
-	// Sweeper: continuous supersedence sweeps while everything else runs.
+	// Sweeper: continuous supersedence sweeps while everything else runs;
+	// swept IDs feed the voter below.
+	swept := make(chan idgen.ID, 1024)
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		for !stop.Load() {
-			n.SweepLocalMetadata(64)
+			for _, id := range n.SweepLocalMetadata(64) {
+				select {
+				case swept <- id:
+				default:
+				}
+			}
+		}
+	}()
+	// Voter: the global GC's side of the node (§5.2). It asks about cached
+	// and swept IDs, and forgets the ones the node reports deleted and no
+	// longer caches, as the global GC does once storage is collected.
+	var voteRounds atomic.Int64
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for !stop.Load() {
+			seen := make(map[idgen.ID]bool)
+			var ids []idgen.ID
+			add := func(id idgen.ID) {
+				if !seen[id] {
+					seen[id] = true
+					ids = append(ids, id)
+				}
+			}
+			for _, rec := range n.KnownCommits() {
+				add(rec.ID())
+				if len(ids) == 8 {
+					break
+				}
+			}
+		drain:
+			for len(ids) < 64 {
+				select {
+				case id := <-swept:
+					add(id)
+				default:
+					break drain
+				}
+			}
+			cached := n.Caches(ids)
+			deleted := n.LocallyDeleted(ids)
+			if len(cached) != len(ids) || len(deleted) != len(ids) {
+				errc <- fmt.Errorf("vote maps cover %d/%d of %d ids", len(cached), len(deleted), len(ids))
+				return
+			}
+			var forget []idgen.ID
+			for _, id := range ids {
+				if deleted[id] && !cached[id] {
+					forget = append(forget, id)
+				}
+			}
+			n.ForgetDeleted(forget)
+			voteRounds.Add(1)
 		}
 	}()
 
@@ -185,24 +226,31 @@ func TestParallelCommitReadMergeSweep(t *testing.T) {
 	default:
 	}
 
-	// The index and record count must still be coherent: every version in
-	// every stripe's index resolves to a cached record, and the distinct
-	// record count matches the metaCount gauge.
-	distinct := n.snapshotRecords()
-	if got := n.MetadataSize(); got != len(distinct) {
-		t.Fatalf("MetadataSize = %d, distinct records = %d", got, len(distinct))
+	if voteRounds.Load() == 0 {
+		t.Fatal("voter never ran")
 	}
-	for _, s := range n.stripes {
-		s.mu.RLock()
-		for key, versions := range s.index {
-			for _, id := range versions {
-				if _, ok := s.commits[id]; !ok {
-					s.mu.RUnlock()
-					t.Fatalf("index entry %s@%v has no commit record", key, id)
-				}
+
+	// The metadata must still be coherent: every index entry resolves to a
+	// cached record, no record is both cached and locally deleted, and the
+	// byte gauge matches the cached records.
+	n.meta.mu.RLock()
+	defer n.meta.mu.RUnlock()
+	for key, versions := range n.meta.index {
+		for _, id := range versions {
+			if _, ok := n.meta.commits[id]; !ok {
+				t.Fatalf("index entry %s@%v has no commit record", key, id)
 			}
 		}
-		s.mu.RUnlock()
+	}
+	var bytes int64
+	for id, rec := range n.meta.commits {
+		if _, ok := n.meta.locallyDeleted[id]; ok {
+			t.Fatalf("%v is both cached and locally deleted", id)
+		}
+		bytes += int64(rec.ApproxBytes())
+	}
+	if got := n.metaBytes.Load(); got != bytes {
+		t.Fatalf("metaBytes = %d, cached records total %d", got, bytes)
 	}
 }
 
@@ -475,40 +523,6 @@ func TestAbortWaitsForInflightCommit(t *testing.T) {
 	}
 }
 
-// TestBaselineConfigMatchesStriped checks the benchmark baseline config
-// (one stripe, no group commit) behaves identically at the API level.
-func TestBaselineConfigMatchesStriped(t *testing.T) {
-	for _, cfg := range []Config{
-		{MetadataStripes: 1, DisableGroupCommit: true},
-		{},
-	} {
-		cfg.NodeID = "cmp"
-		cfg.Store = dynamosim.New(dynamosim.Options{})
-		n, err := NewNode(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ctx := context.Background()
-		txid, _ := n.StartTransaction(ctx)
-		n.Put(ctx, txid, "a", []byte("1"))
-		n.Put(ctx, txid, "b", []byte("2"))
-		id, err := n.CommitTransaction(ctx, txid)
-		if err != nil {
-			t.Fatal(err)
-		}
-		reader, _ := n.StartTransaction(ctx)
-		for key, want := range map[string]string{"a": "1", "b": "2"} {
-			v, err := n.Get(ctx, reader, key)
-			if err != nil || string(v) != want {
-				t.Fatalf("stripes=%d: Get(%s) = %q, %v", cfg.MetadataStripes, key, v, err)
-			}
-		}
-		if got := n.VersionsOf("a"); len(got) != 1 || !got[0].Equal(id) {
-			t.Fatalf("VersionsOf = %v", got)
-		}
-	}
-}
-
 // TestReadRecoversLocallyDeletedCrossShardRecord pins the resurrection
 // path (installRecoveredLocked): the sweep's supersedence check is
 // ownership-scoped, so a cross-shard record can be locally deleted while
@@ -564,10 +578,10 @@ func TestReadRecoversLocallyDeletedCrossShardRecord(t *testing.T) {
 	}
 }
 
-// TestSweepKeepsPinnedAcrossStripes pins the §5.1 guarantee under striping:
-// a record spanning several stripes stays cached while any reader pins it,
-// even when its versions are superseded on every stripe.
-func TestSweepKeepsPinnedAcrossStripes(t *testing.T) {
+// TestSweepKeepsPinnedMultiKeyRecord pins the §5.1 guarantee: a record
+// spanning several keys stays cached while any reader pins it, even when
+// its versions are superseded on every key.
+func TestSweepKeepsPinnedMultiKeyRecord(t *testing.T) {
 	n, err := NewNode(Config{NodeID: "pin", Store: dynamosim.New(dynamosim.Options{})})
 	if err != nil {
 		t.Fatal(err)

@@ -265,8 +265,7 @@ func TestPropertyGCNeverBreaksInvariant(t *testing.T) {
 	ctx := context.Background()
 	keys := []string{"a", "b", "c"}
 
-	var logMu sync.Mutex
-	writeSets := map[idgen.ID][]string{}
+	writeSets := map[idgen.ID][]string{} // written by the writer, read after wg.Wait
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -297,12 +296,13 @@ func TestPropertyGCNeverBreaksInvariant(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			logMu.Lock()
 			writeSets[id] = ws
-			logMu.Unlock()
 		}
 	}()
 
+	// A version becomes readable before its CommitTransaction returns, so
+	// the writer may not have logged it yet; check once the writer is done.
+	var readSets []map[string]idgen.ID
 	for i := 0; i < 150; i++ {
 		txid, _ := n.StartTransaction(ctx)
 		for j := 0; j < 3; j++ {
@@ -312,11 +312,12 @@ func TestPropertyGCNeverBreaksInvariant(t *testing.T) {
 			}
 		}
 		rs, _ := n.ReadSet(txid)
-		logMu.Lock()
-		checkAtomicReadset(t, rs, writeSets)
-		logMu.Unlock()
+		readSets = append(readSets, rs)
 		n.AbortTransaction(ctx, txid)
 	}
 	close(stop)
 	wg.Wait()
+	for _, rs := range readSets {
+		checkAtomicReadset(t, rs, writeSets)
+	}
 }

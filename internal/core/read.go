@@ -25,12 +25,11 @@ import (
 //     from storage.
 //
 // Locking: the metadata phase holds only the transaction's own mutex plus
-// a read lock on the single stripe owning key during version selection —
-// reads of different keys (and commits, merges, sweeps on other stripes)
-// proceed fully in parallel, and t.mu is released before any payload
+// the metadata read lock during version selection — reads proceed in
+// parallel with each other — and t.mu is released before any payload
 // fetch so concurrent reads within ONE transaction overlap their storage
 // round trips. The lower-bound pass of Algorithm 1 walks the
-// transaction's pinned read records without touching any stripe.
+// transaction's pinned read records without touching the metadata lock.
 //
 // Get returns ErrKeyNotFound when no committed version of key exists
 // (the NULL version, §3.2) and ErrNoValidVersion when versions exist but
@@ -226,7 +225,7 @@ func (n *Node) planRead(ctx context.Context, t *txnState, key string, owns ownsF
 	var err error
 	if !alreadyRead && !t.metaFetched[key] && n.floorSet(key) {
 		// A budget spill evicted this key's newest resident version
-		// (stripe.go spillFloor): resident candidates may all be stale, so
+		// (meta.go spillFloor): resident candidates may all be stale, so
 		// the index must not be trusted until storage is consulted. Skip
 		// the optimistic selection and take the recovery path directly —
 		// a floor implies partial-metadata mode, so the condition below
@@ -261,12 +260,12 @@ func (n *Node) planRead(ctx context.Context, t *txnState, key string, owns ownsF
 		if ferr != nil {
 			return nil, nil, fmt.Errorf("aft: recovering metadata for %q: %w", key, ferr)
 		}
-		// Install and re-select inside ONE multi-stripe critical section
-		// (selectAndPin write-locks the union): a concurrent non-owned
-		// sweep must not evict the fetched records between installation
-		// and version selection. A coalesced waiter gets nil records —
-		// the flight's leader already installed them — and re-selects
-		// through the stripe index.
+		// Install and re-select inside ONE critical section (selectAndPin
+		// write-locks the metadata): a concurrent non-owned sweep must not
+		// evict the fetched records between installation and version
+		// selection. A coalesced waiter gets nil records — the flight's
+		// leader already installed them — and re-selects through the
+		// index.
 		target, rec, pinnedNow, err = n.selectAndPin(t, key, fetched)
 		if finish != nil {
 			finish()
@@ -298,13 +297,13 @@ func (n *Node) planRead(ctx context.Context, t *txnState, key string, owns ownsF
 }
 
 // selectAndPin runs Algorithm 1 for key and, on success, records the read
-// and pins the source transaction against local GC — all before the stripe
-// lock is released, so the version's metadata cannot be deleted between
-// selection and payload fetch (§5.1). The caller holds t.mu.
+// and pins the source transaction against local GC — all before the
+// metadata lock is released, so the version's metadata cannot be deleted
+// between selection and payload fetch (§5.1). The caller holds t.mu.
 //
 // With install records supplied (the sharded metadata-recovery path), the
-// union of their stripes plus key's stripe is write-locked and the records
-// are installed in the same critical section as the selection.
+// metadata is write-locked and the records are installed in the same
+// critical section as the selection.
 func (n *Node) selectAndPin(t *txnState, key string, install []*records.CommitRecord) (idgen.ID, *records.CommitRecord, bool, error) {
 	// Lines 3-5 of Algorithm 1: the lower bound is the largest
 	// transaction in R that cowrote key — we must not return anything
@@ -324,39 +323,26 @@ func (n *Node) selectAndPin(t *txnState, key string, install []*records.CommitRe
 	}
 
 	if len(install) == 0 {
-		s := n.stripeFor(key)
-		s.mu.RLock()
-		target, rec, err := n.selectVersionLocked(t, key, lower)
-		pinnedNow := false
-		if err == nil {
-			pinnedNow = n.pinRead(t, key, target, rec)
+		n.meta.mu.RLock()
+		defer n.meta.mu.RUnlock()
+	} else {
+		n.meta.mu.Lock()
+		defer n.meta.mu.Unlock()
+		for _, fr := range install {
+			n.installRecoveredLocked(fr, key)
 		}
-		s.mu.RUnlock()
-		return target, rec, pinnedNow, err
-	}
-
-	union := make([]string, 0, 1+len(install))
-	union = append(union, key)
-	for _, fr := range install {
-		union = append(union, fr.WriteSet...)
-	}
-	ss := n.stripesOf(union)
-	lockStripes(ss)
-	for _, fr := range install {
-		n.installRecoveredLocked(fr, key)
 	}
 	target, rec, err := n.selectVersionLocked(t, key, lower)
 	pinnedNow := false
 	if err == nil {
 		pinnedNow = n.pinRead(t, key, target, rec)
 	}
-	unlockStripes(ss)
 	return target, rec, pinnedNow, err
 }
 
 // pinRead records a successful version selection in the transaction's read
-// set and takes a reader pin. The caller holds t.mu and (at least a read
-// lock on) key's stripe. It reports whether a new pin was taken.
+// set and takes a reader pin. The caller holds t.mu and meta.mu (at least
+// for reading). It reports whether a new pin was taken.
 func (n *Node) pinRead(t *txnState, key string, target idgen.ID, rec *records.CommitRecord) bool {
 	t.readSet[key] = target
 	t.readRecs[key] = rec
@@ -391,15 +377,14 @@ func (n *Node) forgetVanished(t *txnState, key string, target idgen.ID, rec *rec
 		}
 		n.pinMu.Unlock()
 	}
-	ss := n.stripesOf(rec.WriteSet)
-	lockStripes(ss)
+	n.meta.mu.Lock()
 	dropMarker := false
-	if cached, ok := ss[0].commits[target]; ok && cached == rec {
+	if cached, ok := n.meta.commits[target]; ok && cached == rec {
 		// Drop the index entries so re-selection skips the vanished
 		// version (installLocked will not re-index it while the commit
 		// entry survives).
 		for _, k := range rec.WriteSet {
-			n.stripeFor(k).index.remove(k, target)
+			n.meta.index.remove(k, target)
 			sk := rec.StorageKeyFor(k)
 			n.data.evict(sk)
 			if rec.Packed {
@@ -408,22 +393,19 @@ func (n *Node) forgetVanished(t *txnState, key string, target idgen.ID, rec *rec
 		}
 		// The record itself must outlive any other transaction still
 		// pinning it: their read sets resolve through readRecs and the
-		// stripes' commit caches. Once unpinned, the local sweep retires
-		// it. New pins cannot arrive while we hold the write locks (the
-		// index entries are gone), so the reader count is stable here.
+		// commit cache. Once unpinned, the local sweep retires it. New
+		// pins cannot arrive while we hold the write lock (the index
+		// entries are gone), so the reader count is stable here.
 		n.pinMu.Lock()
 		still := n.readers[target]
 		n.pinMu.Unlock()
 		if still == 0 {
-			for _, s := range ss {
-				delete(s.commits, target)
-			}
-			n.metaCount.Add(-1)
+			delete(n.meta.commits, target)
 			n.metaBytes.Add(-int64(rec.ApproxBytes()))
 			dropMarker = true
 		}
 	}
-	unlockStripes(ss)
+	n.meta.mu.Unlock()
 	if dropMarker {
 		n.tmu.Lock()
 		delete(n.committedByUUID, rec.UUID)
@@ -434,14 +416,12 @@ func (n *Node) forgetVanished(t *txnState, key string, target idgen.ID, rec *rec
 // selectVersionLocked implements the candidate walk of Algorithm 1: given
 // the transaction's read set R (t.readSet), key k, and the precomputed
 // lower bound, it selects a version kj such that R ∪ {kj} is still an
-// Atomic Readset (Definition 1). The caller holds t.mu and key's stripe
-// lock.
+// Atomic Readset (Definition 1). The caller holds t.mu and meta.mu (at
+// least for reading).
 func (n *Node) selectVersionLocked(t *txnState, key string, lower idgen.ID) (idgen.ID, *records.CommitRecord, error) {
-	s := n.stripeFor(key)
-
 	// Lines 7-9: no known version and no constraint means the NULL
 	// version — the key simply does not exist yet.
-	candidates := s.index.atLeast(key, lower)
+	candidates := n.meta.index.atLeast(key, lower)
 	if len(candidates) == 0 {
 		if lower.IsNull() {
 			return idgen.Null, nil, ErrKeyNotFound
@@ -457,7 +437,7 @@ func (n *Node) selectVersionLocked(t *txnState, key string, lower idgen.ID) (idg
 	// older than t (case 2 of the proof).
 	for i := len(candidates) - 1; i >= 0; i-- {
 		tid := candidates[i]
-		rec := s.commits[tid]
+		rec := n.meta.commits[tid]
 		if rec == nil {
 			continue // concurrently GC'd; skip
 		}
@@ -478,7 +458,7 @@ func (n *Node) selectVersionLocked(t *txnState, key string, lower idgen.ID) (idg
 
 // fetchCall is one in-flight cold-key metadata recovery; waiters block on
 // done and, once the leader has installed the fetched records, re-select
-// through the stripe index.
+// through the index.
 type fetchCall struct {
 	done  chan struct{}
 	err   error // set before done closes; read only after
@@ -491,7 +471,7 @@ type fetchCall struct {
 // returns the records together with a finish func the caller MUST invoke
 // after installing them (planRead does so inside selectAndPin's critical
 // section); waiters block until then and return nil records — the records
-// are already in the stripe index. retryOnMiss is set only for a waiter
+// are already in the index. retryOnMiss is set only for a waiter
 // whose leader DID find records: its re-selection is outside the leader's
 // install critical section, so a sweep can empty the index again and the
 // caller should fetch solo. When the leader found nothing, a waiter's miss
@@ -577,7 +557,7 @@ func (n *Node) fetchKeyRecords(ctx context.Context, key string) ([]*records.Comm
 		if err != nil {
 			continue
 		}
-		if rec := n.recordForKey(key, id); rec != nil {
+		if rec, known := n.cachedRecord(id); known {
 			// Cached already — perhaps selectable only for sibling keys
 			// (recovered installs index only the verified key). Re-install
 			// it without a round trip: installRecoveredLocked is
@@ -623,7 +603,7 @@ func (n *Node) fetchKeyRecordsPacked(ctx context.Context, key string) ([]*record
 		if err != nil {
 			continue
 		}
-		if rec, known := n.findRecord(id); known {
+		if rec, known := n.cachedRecord(id); known {
 			if rec.Cowritten(key) {
 				out = append(out, rec) // re-install: idempotent, lifts floors
 			}

@@ -20,9 +20,8 @@ import (
 // Each transaction carries its own mutex: operations of one transaction
 // serialize on it (the paper's functions run sequentially within a logical
 // request anyway), while operations of different transactions only meet at
-// the metadata stripes. t.mu is the outermost lock in the node's lock
-// order (see stripe.go) — it may be held while taking stripe locks, never
-// the reverse.
+// the metadata lock. t.mu is the outermost lock in the node's lock order
+// (see meta.go) — it may be held while taking meta.mu, never the reverse.
 type txnState struct {
 	uuid    string
 	startTS int64
@@ -47,7 +46,7 @@ type txnState struct {
 	readSet map[string]idgen.ID
 	// readRecs caches the commit record of each read version. Pinned
 	// records are immutable and cannot be swept, so Algorithm 1's
-	// lower-bound pass walks them without touching any stripe lock.
+	// lower-bound pass walks them without touching the metadata lock.
 	readRecs map[string]*records.CommitRecord
 	// pinned is the set of committed transactions this transaction has
 	// read from; each holds a reader pin against local GC (§5.1).

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
+	"sync"
 	"testing"
 
 	"aft/internal/core"
@@ -270,6 +272,67 @@ func TestManyRequestsThroughPlatform(t *testing.T) {
 	}
 	if node.Metrics().Snapshot().Committed != 50 {
 		t.Fatalf("committed = %d", node.Metrics().Snapshot().Committed)
+	}
+}
+
+// TestPlatformContendedFewProcs runs many requests on one hot key at
+// GOMAXPROCS 1 and 2 with no latency model, so every wait the platform
+// takes is real time; each request must commit within the default retry
+// budgets.
+func TestPlatformContendedFewProcs(t *testing.T) {
+	for _, procs := range []int{1, 2} {
+		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			p, node := newPlatform(t)
+			ctx := context.Background()
+			const workers, each = 8, 50
+			var wg sync.WaitGroup
+			for w := 0; w < workers; w++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := 0; i < each; i++ {
+						_, err := p.Invoke(ctx,
+							func(fc *Ctx) error {
+								v, err := fc.Get("hot")
+								if err != nil && !errors.Is(err, core.ErrKeyNotFound) {
+									return err
+								}
+								return fc.Put("hot", append(v, 'x'))
+							},
+							func(fc *Ctx) error { _, err := fc.Get("hot"); return err },
+						)
+						if err != nil {
+							t.Error(err)
+							return
+						}
+					}
+				}()
+			}
+			// The node's local GC runs alongside, as it does in a cluster.
+			stop := make(chan struct{})
+			swept := make(chan struct{})
+			go func() {
+				defer close(swept)
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+						node.SweepLocalMetadata(0)
+						runtime.Gosched()
+					}
+				}
+			}()
+			wg.Wait()
+			close(stop)
+			<-swept
+			m := p.Metrics().Snapshot()
+			if m.Commits != workers*each {
+				t.Fatalf("commits = %d, want %d", m.Commits, workers*each)
+			}
+			t.Logf("platform %+v", m)
+		})
 	}
 }
 

@@ -1,6 +1,5 @@
-// Package strhash provides the allocation-free string hash shared by the
-// repository's partitioning layers (metadata lock stripes, data-cache
-// shards, storage-engine shards). The hash/fnv Writer costs an allocation
+// Package strhash provides the allocation-free string hash shared across
+// the repository (data-cache shards, storage-engine shards, seed mixing). The hash/fnv Writer costs an allocation
 // per call, which at per-operation frequency dominates profiles; the loop
 // below is the same FNV-1a, inlined.
 package strhash
